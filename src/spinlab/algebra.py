@@ -16,10 +16,16 @@ with the static mean-spin component X = J_x^(+) satisfying
 triple Z = J_z, Y = J_y, X = J_x. Quadratic combinations that the
 integrators need every step (Z^2, Y^2, ZY+YZ, ZXZ) are assembled from
 constant products by the frame's trigonometric coefficients, so a step
-costs O(dim^2) on top of the unavoidable dim^3 products. Each constant
-product is built on first use: a run whose steps all land on frame
-nodes never builds the cross terms, and a frame that is only inspected
-builds none.
+costs O(dim^2) on top of the generator's own products. Each dense
+operator and each constant product is built on first use: a run whose
+steps all land on frame nodes never builds the cross terms, and a frame
+that is only inspected builds none.
+
+Every two-sample operator is a Kronecker sum of one per-sample factor,
+so the two-mode frame also carries those factors (J_y = iK with K real,
+and the diagonals of J_z^+ and J_z^-). An integrator that applies them
+sample by sample pays O(dim^2 (2j+1)) per product instead of dim^3 and
+never builds the dense operators it does not read.
 """
 
 from __future__ import annotations
@@ -96,41 +102,71 @@ def coherent_spin_state(twice_j: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+class _KronOp:
+    """One dense two-sample operator of TwoModeOps, built on first read and
+    then cached on the instance: the component on sample 1 (kind "1"), on
+    sample 2 ("2"), their sum ("p") or their difference ("m")."""
+
+    def __init__(self, component: str, kind: str):
+        self.component, self.kind = component, kind
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ops, owner=None):
+        if ops is None:
+            return self
+        op = getattr(spin_matrices(ops.twice_j), self.component)
+        eye = np.eye(ops.twice_j + 1)
+        if self.kind == "1":
+            value = np.kron(op, eye)
+        elif self.kind == "2":
+            value = np.kron(eye, op)
+        elif self.kind == "p":
+            value = np.kron(op, eye) + np.kron(eye, op)
+        else:
+            value = np.kron(op, eye) - np.kron(eye, op)
+        ops.__dict__[self.name] = value
+        return value
+
+
 @dataclass(frozen=True)
 class TwoModeOps:
-    """Single-sample, sum and difference operators for two identical spins."""
+    """Single-sample, sum and difference operators for two identical spins.
+
+    Each dense n x n operator is built on first read. The per-sample
+    factors are small and exact: J_y = i jy_factor on each sample with
+    jy_factor real (d x d, d = 2j + 1), and J_z^(+-) are diagonal with
+    entries m1 +- m2 in the |m1, m2> order.
+    """
 
     twice_j: int  # per sample
-    jx1: np.ndarray
-    jy1: np.ndarray
-    jz1: np.ndarray
-    jx2: np.ndarray
-    jy2: np.ndarray
-    jz2: np.ndarray
-    jxp: np.ndarray
-    jyp: np.ndarray
-    jzp: np.ndarray
-    jxm: np.ndarray
-    jym: np.ndarray
-    jzm: np.ndarray
+
+    jx1, jx2, jxp, jxm = (_KronOp("jx", kind) for kind in "12pm")
+    jy1, jy2, jyp, jym = (_KronOp("jy", kind) for kind in "12pm")
+    jz1, jz2, jzp, jzm = (_KronOp("jz", kind) for kind in "12pm")
 
     @property
     def dim(self) -> int:
         return (self.twice_j + 1) ** 2
 
+    @cached_property
+    def jy_factor(self) -> np.ndarray:
+        return np.ascontiguousarray(spin_matrices(self.twice_j).jy.imag)
+
+    @cached_property
+    def jzp_diag(self) -> np.ndarray:
+        m = spin_matrices(self.twice_j).jz.diagonal().real
+        return np.add.outer(m, m).ravel()
+
+    @cached_property
+    def jzm_diag(self) -> np.ndarray:
+        m = spin_matrices(self.twice_j).jz.diagonal().real
+        return np.subtract.outer(m, m).ravel()
+
 
 def two_mode_ops(twice_j: int) -> TwoModeOps:
-    mats = spin_matrices(twice_j)
-    eye = np.eye(twice_j + 1)
-    ops = {}
-    for name, op in (("jx", mats.jx), ("jy", mats.jy), ("jz", mats.jz)):
-        a = np.kron(op, eye)
-        b = np.kron(eye, op)
-        ops[name + "1"] = a
-        ops[name + "2"] = b
-        ops[name + "p"] = a + b
-        ops[name + "m"] = a - b
-    return TwoModeOps(twice_j=int(twice_j), **ops)
+    return TwoModeOps(twice_j=int(twice_j))
 
 
 def two_mode_coherent_state(twice_j: int) -> np.ndarray:
@@ -163,12 +199,14 @@ def _blend_linear(a: np.ndarray, b: np.ndarray, c: float, s: float) -> np.ndarra
 class _LazyTriple:
     """The constant products (aa, bb, ab) of one quadratic blend, each
     built the first time it is indexed. Entry i is the sum, in order, of
-    the left-to-right products of the operator chains in chains[i]; plain
-    operator tuples keep the frame picklable for worker processes."""
+    the left-to-right products of the chains in chains[i], each chain a
+    tuple of frame attribute names; names rather than closures keep the
+    frame picklable for worker processes."""
 
-    __slots__ = ("_chains", "_built")
+    __slots__ = ("_frame", "_chains", "_built")
 
-    def __init__(self, *chains):
+    def __init__(self, frame, *chains):
+        self._frame = frame
         self._chains = chains
         self._built = [None, None, None]
 
@@ -176,9 +214,9 @@ class _LazyTriple:
         term = self._built[i]
         if term is None:
             for chain in self._chains[i]:
-                product = chain[0]
-                for op in chain[1:]:
-                    product = product @ op
+                product = getattr(self._frame, chain[0])
+                for name in chain[1:]:
+                    product = product @ getattr(self._frame, name)
                 term = product if term is None else term + product
             self._built[i] = term
         return term
@@ -199,39 +237,74 @@ class MeasurementFrame:
     quadratic combinations the dynamics and gain laws consume, each built
     on first use. Also owns the normalisations that turn raw moments into the reduced variance
     zeta = <zeta_op>/zeta_norm and polarisation chi = <X>/chi_norm.
+
+    A static frame is given its operators (zc, zs, yc, ys, x), with
+    Z = zc cos + zs sin, Y = yc cos + ys sin and X = x. A two-mode frame
+    is given its TwoModeOps instead and reads Z = (J_z^+, J_y^-),
+    Y = (J_y^+, -J_z^-) and X = J_x^+ from them on first use; it also
+    exposes their per-sample factors jy_factor, jzp_diag and jzm_diag
+    (None on static frames). zeta_weights pairs operator attribute names
+    with their weights in zeta_parts.
     """
 
-    def __init__(self, mode, omega, spin_j, z_parts, y_parts, x_op, zeta_parts, norms, two_mode=None):
+    def __init__(self, mode, omega, spin_j, zeta_weights, norms, operators=None, two_mode=None):
         if mode not in ("single", "two"):
             raise ValueError(f"unknown frame mode {mode!r}")
         self.mode = mode
         self.omega = float(omega) if mode == "two" else 0.0
         self.spin_j = float(spin_j)  # per-sample j for two samples, the spin itself otherwise
-        self._zc, self._zs = z_parts
-        self._yc, self._ys = y_parts
-        self.x_op = x_op
-        self.dim = x_op.shape[0]
         self.two_mode = two_mode
-        # zeta_parts: ((op, weight), ...) with zeta = sum w <op^2> / zeta_norm,
-        # mean-subtracted variants replace <op^2> by <op^2> - <op>^2
-        self.zeta_parts = zeta_parts
+        self.jy_factor = self.jzp_diag = self.jzm_diag = None
+        if two_mode is not None:
+            self.dim = two_mode.dim
+            self.jy_factor = two_mode.jy_factor
+            self.jzp_diag = two_mode.jzp_diag
+            self.jzm_diag = two_mode.jzm_diag
+        else:
+            self._zc, self._zs, self._yc, self._ys, self.x_op = operators
+            self.dim = self.x_op.shape[0]
+        self._zeta_weights = zeta_weights
         self.zeta_norm, self.chi_norm = norms
-        # slow quadrature pair whose conditional means get recorded: the two
-        # components of the rotating Z for two samples, (J_z, J_y) otherwise
-        self.zc_op = zeta_parts[0][0]
-        self.yc_op = self._zs if mode == "two" else y_parts[0]
 
-        zc, zs, yc, ys = self._zc, self._zs, self._yc, self._ys
-        self._zz = _LazyTriple(((zc, zc),), ((zs, zs),), ((zc, zs), (zs, zc)))
-        self._yy = _LazyTriple(((yc, yc),), ((ys, ys),), ((yc, ys), (ys, yc)))
+        self._zz = _LazyTriple(self, (("_zc", "_zc"),), (("_zs", "_zs"),), (("_zc", "_zs"), ("_zs", "_zc")))
+        self._yy = _LazyTriple(self, (("_yc", "_yc"),), (("_ys", "_ys"),), (("_yc", "_ys"), ("_ys", "_yc")))
         self._zy_anti = _LazyTriple(
-            ((zc, yc), (yc, zc)),
-            ((zs, ys), (ys, zs)),
-            ((zc, ys), (ys, zc), (zs, yc), (yc, zs)),
+            self,
+            (("_zc", "_yc"), ("_yc", "_zc")),
+            (("_zs", "_ys"), ("_ys", "_zs")),
+            (("_zc", "_ys"), ("_ys", "_zc"), ("_zs", "_yc"), ("_yc", "_zs")),
         )
         self._zxz = _LazyTriple(
-            ((zc, x_op, zc),), ((zs, x_op, zs),), ((zc, x_op, zs), (zs, x_op, zc))
+            self,
+            (("_zc", "x_op", "_zc"),),
+            (("_zs", "x_op", "_zs"),),
+            (("_zc", "x_op", "_zs"), ("_zs", "x_op", "_zc")),
         )
+
+    # a two-mode frame's operators; a static frame sets these in __init__
+    _zc = cached_property(lambda self: self.two_mode.jzp)
+    _zs = cached_property(lambda self: self.two_mode.jym)
+    _yc = cached_property(lambda self: self.two_mode.jyp)
+    _ys = cached_property(lambda self: -self.two_mode.jzm)
+    x_op = cached_property(lambda self: self.two_mode.jxp)
+
+    @cached_property
+    def zeta_parts(self):
+        """((op, weight), ...) with zeta = sum w <op^2> / zeta_norm;
+        mean-subtracted variants replace <op^2> by <op^2> - <op>^2."""
+        return tuple((getattr(self, name), w) for name, w in self._zeta_weights)
+
+    @property
+    def zc_op(self) -> np.ndarray:
+        """First of the slow quadrature pair whose conditional means get
+        recorded: the two components of the rotating Z for two samples,
+        (J_z, J_y) otherwise."""
+        return self._zc
+
+    @property
+    def yc_op(self) -> np.ndarray:
+        """Second of the slow quadrature pair; see zc_op."""
+        return self._zs if self.mode == "two" else self._yc
 
     @cached_property
     def x2_op(self) -> np.ndarray:
@@ -285,11 +358,9 @@ def frame_from_operators(jx, jy, jz, twice_j_total: int) -> MeasurementFrame:
         mode="single",
         omega=0.0,
         spin_j=j,
-        z_parts=(jz, zero),
-        y_parts=(jy, zero),
-        x_op=jx,
-        zeta_parts=((jz, 2.0),),
+        zeta_weights=(("_zc", 2.0),),
         norms=(j, j),
+        operators=(jz, zero, jy, zero, jx),
     )
 
 
@@ -298,17 +369,15 @@ def two_mode_frame(twice_j: int, omega: float) -> MeasurementFrame:
 
     zeta compares the sum/difference quadrature variance against the
     polarisation: zeta = <(J_z^+)^2 + (J_y^-)^2> / (2j), chi = <J_x^+> / (2j).
-    zeta < chi witnesses entanglement between the samples.
+    zeta < chi witnesses entanglement between the samples. No dense
+    operator is built until something reads it.
     """
     ops = two_mode_ops(twice_j)
     return MeasurementFrame(
         mode="two",
         omega=omega,
         spin_j=twice_j / 2.0,
-        z_parts=(ops.jzp, ops.jym),
-        y_parts=(ops.jyp, -ops.jzm),
-        x_op=ops.jxp,
-        zeta_parts=((ops.jzp, 1.0), (ops.jym, 1.0)),
+        zeta_weights=(("_zc", 1.0), ("_zs", 1.0)),
         norms=(float(twice_j), float(twice_j)),
         two_mode=ops,
     )

@@ -8,7 +8,8 @@ In scaled time v the record-averaged state obeys
 with Z = Z(v), Y = Y(v) from the measurement frame and L the scaled
 feedback gain. The first term is the twisting the feedback synthesises;
 the dissipator carries both the measurement back-action and the fed-back
-noise. After each step the state is re-Hermitized, and the trace is left
+noise. The state is kept Hermitian (re-Hermitized after each Euler step;
+the averaged steps below keep it so exactly), and the trace is left
 alone so integrator failure shows up as drift instead of being hidden by
 renormalisation.
 
@@ -25,11 +26,14 @@ Two integrators share the loop:
 * Every other frame, rate and generator steps forward Euler, the
   generator re-evaluated at the start of each step.
 
-Either rate costs four dim^3 products. At a node time, Hermiticity of
-rho lets every other product be recovered as a conjugate transpose, and
-r^dag r folds into cached frame operators via r^dag r = Z^2 + L^2 Y^2 - L X.
-The averaged rate uses that J_z^+ and J_z^- are diagonal in the
-|m1, m2> basis, so only J_y^+ and J_y^- multiply densely.
+The Euler rate, feedback_rate, costs four dim^3 products with the dense
+frame operators. At a node time, Hermiticity of rho lets every other
+product be recovered as a conjugate transpose, and r^dag r folds into
+cached frame operators via r^dag r = Z^2 + L^2 Y^2 - L X. The averaged
+rate multiplies by no dense operator: J_z^+ and J_z^- are diagonal in
+the |m1, m2> basis, and J_y^+ and J_y^- act one sample at a time through
+the d x d factor of J_y (d = 2j + 1), so each of its four products costs
+dim^2 d instead of dim^3.
 """
 
 from __future__ import annotations
@@ -150,53 +154,88 @@ def feedback_rate(frame: MeasurementFrame, rho, v: float, lam: float):
     )
 
 
+def _kron_sum_apply(k, x, sign: float):
+    """(K (x) 1 + sign 1 (x) K) x for a per-sample real factor K (d x d)
+    and a C-contiguous complex n x n array x, n = d^2.
+
+    The |m1, m2> index splits as (m1, m2), so K (x) 1 acts on x as a
+    (d, d n) array and 1 (x) K on each of its d row blocks; both are d x d
+    products on the float view, since real K acts on real and imaginary
+    parts alike. Costs O(n^2 d) and builds no n x n operator.
+    """
+    d = k.shape[0]
+    n = x.shape[0]
+    xf = x.view(float)
+    out = (k @ xf.reshape(d, 2 * d * n)).reshape(n, 2 * n)
+    other = np.matmul(k, xf.reshape(d, d, 2 * n)).reshape(n, 2 * n)
+    if sign > 0:
+        out += other
+    else:
+        out -= other
+    return out.view(complex)
+
+
 def averaged_rate(frame: MeasurementFrame, rho, lam: float):
     """Right-hand side of the period-averaged master equation, (L0 + L1)/2.
 
     L0 and L1 are the generators at the first two quarter-period nodes,
-    (Z, Y) = (J_z^+, J_y^+) and (J_y^-, -J_z^-). With [Z, Y] = -iX each
-    node rate is G + G^dag, where
+    (Z, Y) = (J_z^+, J_y^+) and (J_y^-, -J_z^-). Write J_y^+ = iB and
+    J_y^- = iA, with A and B real and antisymmetric because J_y = iK on
+    each sample, and D, E for the diagonal J_z^+ and -J_z^-. With
+    a = A rho, b = B rho, and [A, rho] = a + a^dag, [B, rho] = b + b^dag,
 
-        G = Z [rho, Z]/2 + L^2 Y [rho, Y]/2 + iL (Z rho Y - Y Z rho),
+        (L0 + L1) rho / 2 = G + G^dag,
+        G = A [A, rho]/4 + B ([B, rho] L^2/4 + L (D rho + rho D)/2)
+            + L [E, a - a^dag]/4 - F o rho,
 
-    and X drops out. J_z^+ and -J_z^- are diagonal, so the only dense
-    products are P = J_y^+ rho, Q = J_y^- rho and one product each with
-    J_y^+ and J_y^- from the left; everything else scales rows, columns
-    or entries. The diagonal commutator terms of both nodes combine into
-    dephasing of rho_ij at rate ((d_i - d_j)^2 + L^2 (e_i - e_j)^2)/4 for
-    the diagonals d of J_z^+ and e of -J_z^-.
+    where F o rho dephases rho_ij at rate ((d_i - d_j)^2 + L^2 (e_i - e_j)^2)/8
+    for the diagonals d of D and e of E. That is four products with A or
+    B, each applied one sample at a time, and no n x n operator; G + G^dag
+    is Hermitian to the last bit.
     """
     if frame.mode != "two":
         raise ValueError("the period-averaged generator needs a two-mode frame")
-    d = frame._zc.diagonal().real
-    e = frame._ys.diagonal().real
-    jyp, jym = frame._yc, frame._zs
-    q = jym @ rho
-    g = jym @ (0.25 * (q.conj().T - q) + rho * ((0.5j * lam) * e))
-    g -= ((0.5j * lam) * e)[:, None] * q
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    k, d, e = frame.jy_factor, frame.jzp_diag, -frame.jzm_diag
+    a = _kron_sum_apply(k, rho, -1.0)
+    a_dag = np.conj(a.T, order="C")
+    inner = a + a_dag
+    inner *= 0.25
+    g = _kron_sum_apply(k, inner, -1.0)
+    dephase = np.square(d[:, None] - d)
     if lam != 0.0:
-        p = jyp @ rho
-        pd = p.conj().T
-        g += jyp @ ((0.25 * lam * lam) * (pd - p) - ((0.5j * lam) * d)[:, None] * rho)
-        g += ((0.5j * lam) * d)[:, None] * pd
-    # both nodes' dephasing, split evenly between G and G^dag
-    dd = math.sqrt(0.125) * d
-    ee = math.sqrt(0.125) * abs(lam) * e
-    g -= (np.square(dd[:, None] - dd) + np.square(ee[:, None] - ee)) * rho
-    return g + g.conj().T
+        de = e[:, None] - e
+        dephase += np.square(lam * de)
+        de *= 0.25 * lam
+        a -= a_dag
+        g += de * a
+        b = _kron_sum_apply(k, rho, 1.0)
+        inner = np.conj(b.T, order="C")
+        inner += b
+        inner *= 0.25 * lam * lam
+        inner += ((0.5 * lam) * (d[:, None] + d)) * rho
+        g += _kron_sum_apply(k, inner, 1.0)
+    dephase *= -0.125
+    g += dephase * rho
+    out = np.conj(g.T, order="C")
+    out += g
+    return out
 
 
 def unconditioned_step(
     rho, frame: MeasurementFrame, v: float, lam: float, delta_v: float, rate=None
 ):
-    """One step of the feedback master equation, re-Hermitized.
+    """One step of the feedback master equation.
 
-    Forward Euler on feedback_rate, unless a rate is given: the averaged
-    integrator passes its Adams-Bashforth combination of averaged rates.
+    Forward Euler on feedback_rate, re-Hermitized, unless a rate is given:
+    the averaged integrator passes its Adams-Bashforth combination of
+    averaged rates, which is Hermitian to the last bit (each rate is
+    G + G^dag, and real combinations keep that), so from a Hermitian rho
+    the step is already Hermitian and re-Hermitizing would change nothing.
     """
-    if rate is None:
-        rate = feedback_rate(frame, rho, v, lam)
-    out = rho + delta_v * rate
+    if rate is not None:
+        return rho + delta_v * rate
+    out = rho + delta_v * feedback_rate(frame, rho, v, lam)
     return 0.5 * (out + out.conj().T)
 
 
@@ -240,6 +279,10 @@ def evolve(
     if rho0.shape != (frame.dim, frame.dim):
         raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
     rho = np.array(rho0, dtype=complex)
+    averaged = _quarter_period_steps(spec)
+    if averaged:
+        # the averaged steps keep Hermiticity exactly, so it is imposed once
+        rho = 0.5 * (rho + rho.conj().T)
     controller = controller or FeedbackScheme("none")
     hamiltonian = None
     if spec.generator != "feedback":
@@ -251,7 +294,6 @@ def evolve(
     min_eig_floor = 0.0
     max_drift = 0.0
     dv = spec.delta_v
-    averaged = _quarter_period_steps(spec)
     last_rate = None  # the previous averaged rate, for Adams-Bashforth
 
     for n in range(spec.n_steps + 1):

@@ -102,7 +102,10 @@ def trajectory_run(
 
     The recorded squeezing column is mean-subtracted (genuine
     conditional variance); the raw means of the two measured components
-    ride along so the unconditioned second moment can be rebuilt.
+    ride along so the unconditioned second moment can be rebuilt. The
+    record's max_trace_drift is the largest |trace - 1| a step left
+    before renormalisation, and its min_eig_floor the lowest state
+    eigenvalue seen by the positivity audit every audit_stride steps.
     """
     frame = spec.frame
     if spec.generator != "feedback":
@@ -116,6 +119,8 @@ def trajectory_run(
     buf = _ColumnBuffer(_COND_COLUMNS)
     status, abort_v, abort_reason = STATUS_OK, None, ""
     clamp_events = 0
+    min_eig_floor = 0.0
+    max_drift = 0.0  # largest |trace - 1| before renormalisation
     dv = spec.delta_v
 
     for n in range(spec.n_steps + 1):
@@ -139,10 +144,13 @@ def trajectory_run(
                 (row.v, row.zeta, row.chi, row.purity, row.lam, row.xi2,
                  float(row.entangled), row.mz2, row.zc_mean, row.yc_mean)
             )
+        if spec.audit_stride and n % spec.audit_stride == 0:
+            min_eig_floor = min(min_eig_floor, float(np.linalg.eigvalsh(rho)[0]))
         if n == spec.n_steps:
             break
         dw = stream.increment(dv)
         rho, _, trace_raw = conditioned_step(rho, frame, v, lam, dv, dw)
+        max_drift = max(max_drift, abs(trace_raw - 1.0))
         if not (TRACE_WINDOW[0] < trace_raw < TRACE_WINDOW[1]):
             status, abort_v = "aborted-norm", v + dv
             abort_reason = f"trace {trace_raw:.3e} outside renormalisation window"
@@ -166,8 +174,8 @@ def trajectory_run(
         abort_v=abort_v,
         abort_reason=abort_reason,
         clamp_events=clamp_events,
-        min_eig_floor=0.0,
-        max_trace_drift=0.0,
+        min_eig_floor=min_eig_floor,
+        max_trace_drift=max_drift,
     )
 
 

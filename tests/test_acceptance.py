@@ -31,6 +31,8 @@ from spinlab.metrics import min_squeezing_sweep
 from spinlab.optimal_states import frontier_zeta_at, optimal_curve
 from spinlab.stochastic import run_trajectories
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(num: int, name: str, checks) -> None:
     """Record the verdict line first, then enforce it."""

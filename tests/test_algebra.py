@@ -101,6 +101,33 @@ def test_two_mode_ops_structure():
     assert np.abs(comm(ops.jx1, ops.jx2)).max() == 0.0
 
 
+@pytest.mark.parametrize("twice_j", (1, 2, 5))
+def test_two_mode_per_sample_factors_are_exact(twice_j):
+    ops = two_mode_ops(twice_j)
+    assert ops.jy_factor.dtype == float
+    assert np.array_equal(1j * ops.jy_factor, spin_matrices(twice_j).jy)
+    assert np.array_equal(ops.jzp_diag, ops.jzp.diagonal().real)
+    assert np.array_equal(ops.jzm_diag, ops.jzm.diagonal().real)
+    assert np.count_nonzero(ops.jzp - np.diag(ops.jzp.diagonal())) == 0
+    fr = two_mode_frame(twice_j, omega=1.0)
+    assert fr.jy_factor is fr.two_mode.jy_factor
+    assert single_mode_frame(twice_j).jy_factor is None
+
+
+def test_two_mode_frame_builds_operators_on_first_read():
+    import pickle
+
+    fr = two_mode_frame(2, omega=1.0)
+    assert fr.dim == 9
+    assert not {"jzp", "jym", "jyp", "jzm", "jxp"} & set(vars(fr.two_mode))
+    z = fr.z_at(0.3)  # reads both rotating components
+    assert {"jzp", "jym"} <= set(vars(fr.two_mode))
+    assert "jyp" not in vars(fr.two_mode)
+    copy = pickle.loads(pickle.dumps(fr))
+    assert np.array_equal(copy.z_at(0.3), z)
+    assert np.array_equal(copy.y_at(0.3), fr.y_at(0.3))
+
+
 def test_two_mode_coherent_state_moments():
     tj = 4
     j = tj / 2.0

@@ -83,11 +83,55 @@ def test_feedback_rate_matches_plain_assembly(v, lam):
 
 @pytest.mark.parametrize("lam", (0.0, 0.7, -1.3, 4.0))
 def test_averaged_rate_is_mean_of_node_rates(lam):
+    # odd 2j gives an even per-sample dimension; rho is complex, not real
     dv = 1e-3
-    fr = two_mode_frame(2, omega=math.pi / (2 * dv))
-    rho = random_density(9, seed=11)
-    want = 0.5 * (feedback_rate(fr, rho, 0.0, lam) + feedback_rate(fr, rho, dv, lam))
-    assert np.abs(averaged_rate(fr, rho, lam) - want).max() < 1e-12
+    for twice_j in (1, 2, 3, 10):
+        fr = two_mode_frame(twice_j, omega=math.pi / (2 * dv))
+        rho = random_density(fr.dim, seed=11)
+        assert np.abs(rho.imag).sum() > 0.1 * np.abs(rho.real).sum()
+        want = 0.5 * (feedback_rate(fr, rho, 0.0, lam) + feedback_rate(fr, rho, dv, lam))
+        got = averaged_rate(fr, rho, lam)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max(), twice_j
+        assert np.array_equal(got, got.conj().T)
+
+
+def _quarter_period_run(twice_j, rho0, scheme="simple", v_max=0.02):
+    dv = 1e-3
+    fr = two_mode_frame(twice_j, omega=math.pi / (2 * dv))
+    spec = EvolutionSpec(frame=fr, delta_v=dv, v_max=v_max, record_stride=5)
+    return fr, evolve(rho0, spec, FeedbackScheme(scheme))
+
+
+@pytest.mark.parametrize("scheme", ("simple", "optimal"))
+def test_quarter_period_run_builds_only_what_it_reads(scheme):
+    fr, rec = _quarter_period_run(3, css_rho("two", 3), scheme)
+    assert rec.ok
+    built = set(vars(fr.two_mode))
+    assert {"jzp", "jym", "jxp"} <= built
+    # J_y^+ and -J_z^- only enter the generator, which uses per-sample factors
+    assert not built & {"jyp", "jzm", "jxm"}
+    assert not built & {c + s for c in ("jx", "jy", "jz") for s in "12"}
+    assert "_ys" not in vars(fr)
+
+
+def test_quarter_period_steps_are_exactly_hermitian(monkeypatch):
+    from spinlab import dynamics
+
+    steps = []
+
+    def recording_step(*args, **kwargs):
+        out = unconditioned_step(*args, **kwargs)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(dynamics, "unconditioned_step", recording_step)
+    rho0 = random_density(16, seed=21)  # complex, not real
+    rho0[0, 1] += 1e-15  # and not bitwise Hermitian until the run makes it so
+    _, rec = _quarter_period_run(3, rho0, v_max=0.03)
+    assert rec.ok and len(steps) == 30
+    for out in steps:
+        again = 0.5 * (out + out.conj().T)
+        assert np.array_equal(out.view(np.uint64), again.view(np.uint64))
 
 
 def test_averaged_rate_needs_two_mode_frame():

@@ -152,6 +152,40 @@ def test_trajectory_row_contract():
     assert v[0] == 0.0 and np.all(np.diff(v) > 0)
 
 
+def test_trajectory_diagnostics_match_a_replay():
+    frame = two_mode_frame(1, omega=math.pi / 2e-3)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.05, audit_stride=7)
+    controller = FeedbackScheme("simple-conditioned")
+    rho0 = css_rho("two", 1)
+    rec = trajectory_run(rho0, spec, controller, seed=13, traj_index=2)
+    assert rec.ok
+
+    stream = WienerStream(13, 2)
+    rho, drift, low = rho0.astype(complex), 0.0, 0.0
+    for n in range(spec.n_steps + 1):
+        if n % spec.audit_stride == 0:
+            low = min(low, float(np.linalg.eigvalsh(rho)[0]))
+        if n == spec.n_steps:
+            break
+        lam, _ = controller.gain(rho, frame, n * spec.delta_v)
+        dw = stream.increment(spec.delta_v)
+        rho, _, trace = conditioned_step(rho, frame, n * spec.delta_v, lam, spec.delta_v, dw)
+        drift = max(drift, abs(trace - 1.0))
+    assert drift > 0.0
+    assert rec.max_trace_drift == drift
+    assert rec.min_eig_floor == low
+
+
+def test_trajectory_reports_a_negative_eigenvalue():
+    # a diagonal start is a fixed point of the unfed J_z measurement up to
+    # its weights; the audit at v = 0 reads the constructed eigenvalue
+    frame = single_mode_frame(2)
+    rho0 = np.diag([0.75, 0.5, -0.25]).astype(complex)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.01, audit_stride=1000)
+    rec = trajectory_run(rho0, spec, seed=1)
+    assert rec.min_eig_floor == -0.25
+
+
 # -------------------------------------------------------------- ensembles
 
 
