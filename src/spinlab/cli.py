@@ -12,23 +12,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .harness import (
     FIGURE_BUNDLES,
     MODES,
     SCHEMES,
+    SWEEP_SCHEMES,
     ConfigError,
     gamma_from_experiment,
     load_config,
     run_ensemble,
     run_figure,
     run_scenario,
+    sweep_v_max,
     write_frontier_csv,
     write_sweep_csv,
 )
 from .metrics import min_squeezing_sweep
 from .optimal_states import min_xi2_on_curve, optimal_curve
+from .stochastic import fan_out
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,6 +116,12 @@ def _sweep_one(task):
     return min_squeezing_sweep(mode, (twice_j,), scheme, delta_v=delta_v, v_max=v_max)
 
 
+def _check_twice_j(twice_j: int) -> int:
+    if twice_j < 1:
+        raise ConfigError(f"twice-j: need a positive integer, got {twice_j!r}")
+    return twice_j
+
+
 def _cmd_sweep(args) -> int:
     try:
         twice_j_values = [int(tok) for tok in args.twice_j.split(",") if tok.strip()]
@@ -121,15 +129,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"twice-j: expected comma-separated integers, got {args.twice_j!r}") from None
     if not twice_j_values:
         raise ConfigError("twice-j: need at least one value")
-    v_max = args.v_max if args.v_max is not None else (5.0 if args.scheme == "countertwist" else 20.0)
+    v_max = args.v_max if args.v_max is not None else sweep_v_max(args.scheme)
     delta_v = args.delta_v if args.delta_v is not None else 1e-3
-    tasks = [(args.mode, tj, args.scheme, delta_v, v_max) for tj in twice_j_values]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_sweep_one, tasks))
-    else:
-        chunks = [_sweep_one(t) for t in tasks]
-    points = [p for chunk in chunks for p in chunk]
+    tasks = [(args.mode, _check_twice_j(tj), args.scheme, delta_v, v_max) for tj in twice_j_values]
+    points = [p for chunk in fan_out(_sweep_one, tasks, args.jobs or 1) for p in chunk]
     for p in points:
         note = "" if p.status == "ok" else f"  [{p.status}]"
         print(f"{p.mode:6s} {p.scheme:16s} 2j={p.twice_j:<3d} "
@@ -141,7 +144,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    points = optimal_curve(args.mode, args.twice_j, n_mu=args.n_mu)
+    points = optimal_curve(args.mode, _check_twice_j(args.twice_j), n_mu=args.n_mu)
     best = min_xi2_on_curve(points)
     j = args.twice_j / 2.0
     print(f"frontier {args.mode}/2j={args.twice_j}: {len(points)} points, "
@@ -184,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="best squeezing versus sample size")
     p_sweep.add_argument("--mode", choices=MODES, required=True)
-    p_sweep.add_argument("--scheme", choices=SCHEMES + ("optimal-states",), required=True)
+    p_sweep.add_argument("--scheme", choices=SWEEP_SCHEMES, required=True)
     p_sweep.add_argument("--twice-j", dest="twice_j", required=True,
                          help="comma-separated 2j values, e.g. 2,4,10")
     p_sweep.add_argument("--delta-v", type=float, dest="delta_v")

@@ -13,7 +13,11 @@ the averaged steps below keep it so exactly), and the trace is left
 alone so integrator failure shows up as drift instead of being hidden by
 renormalisation.
 
-Two integrators share the loop:
+Every run, record-averaged here or record-conditioned in ``stochastic``,
+goes through one step loop, ``integrate``: it checks the trace, asks the
+gain law for the gain, records strided metrics rows, audits positivity,
+and ends the run with a defined status. What differs between runs is
+only the step it is handed:
 
 * When each step spans exactly a quarter frame period (two samples,
   omega delta_v = pi/2, the default ``omega = "auto"``), consecutive
@@ -23,8 +27,11 @@ Two integrators share the loop:
   limit of node cycling, with the two-step Adams-Bashforth rule started
   by one Euler step: second order, one rate evaluation per step. The
   gain laws read moments averaged over the same two nodes.
-* Every other frame, rate and generator steps forward Euler, the
-  generator re-evaluated at the start of each step.
+* Countertwisting has a constant Hamiltonian H, so its step is the exact
+  propagator exp(-i H delta_v), built once per run from the eigenvectors
+  of H; it keeps the state positive and its trace one to rounding.
+* Every other frame and rate steps forward Euler, the generator
+  re-evaluated at the start of each step.
 
 The Euler rate, feedback_rate, costs four dim^3 products with the dense
 frame operators. At a node time, Hermiticity of rho lets every other
@@ -41,21 +48,22 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .algebra import MeasurementFrame, expect_real
+from .algebra import MeasurementFrame
 from .feedback import FeedbackScheme, GainError
 from .metrics import compute_metrics
-from .trajectory import STATUS_OK, TrajectoryRecord, _ColumnBuffer
+from .trajectory import STATUS_OK, TrajectoryRecord
 
 log = logging.getLogger(__name__)
 
 TRACE_TOL = 1e-6
-# neither integrator preserves positivity exactly: forward Euler leaves
-# negative eigenvalue dust of order delta_v, the averaged second-order
-# step of order delta_v^2; warn only well above that scale, but always
-# record the exact floor
+# the feedback steps do not preserve positivity exactly: forward Euler
+# leaves negative eigenvalue dust of order delta_v, the averaged
+# second-order step of order delta_v^2; warn only well above that scale,
+# but always record the exact floor
 EIG_FLOOR = -1e-3
 # how far omega delta_v may sit from pi/2 and still count as a quarter period
 _QUARTER_TOL = 1e-9
@@ -89,7 +97,6 @@ class EvolutionSpec:
     v_max: float = 20.0
     record_stride: int = 1
     audit_stride: int = 200  # positivity spot-check cadence, in steps
-    twist_strength: float = 1.0
 
     def __post_init__(self):
         if self.generator not in ("feedback", "countertwist-two", "countertwist-single"):
@@ -122,25 +129,22 @@ def countertwist_hamiltonian(frame: MeasurementFrame, variant: str, strength: fl
             raise ValueError("two-sample countertwisting needs a two-mode frame")
         return strength * (ops.jz1 @ ops.jy2 + ops.jy1 @ ops.jz2)
     if variant == "countertwist-single":
-        z0, y0 = frame._zc, frame._yc  # static parts: collective Jz, Jy
+        z0, y0 = frame.z_at(0.0), frame.y_at(0.0)  # collective Jz, Jy
         return 0.5 * strength * (z0 @ y0 + y0 @ z0)
     raise ValueError(f"unknown countertwisting variant {variant!r}")
 
 
 def feedback_rate(frame: MeasurementFrame, rho, v: float, lam: float):
     """Right-hand side of the scaled master equation at time v."""
-    c, s = frame.coefficients(v)
-    from .algebra import _blend_linear, _blend_quadratic
-
-    z = _blend_linear(frame._zc, frame._zs, c, s)
-    z2 = _blend_quadratic(frame._zz, c, s)
+    z = frame.z_at(v)
+    z2 = frame.z2_at(v)
     if lam == 0.0:
         zr = z @ rho
         half = z2 @ rho
         return zr @ z - 0.5 * (half + half.conj().T)
-    y = _blend_linear(frame._yc, frame._ys, c, s)
-    y2 = _blend_quadratic(frame._yy, c, s)
-    anti = _blend_quadratic(frame._zy_anti, c, s)
+    y = frame.y_at(v)
+    y2 = frame.y2_at(v)
+    anti = frame.zy_anti_at(v)
     r = z - 1j * lam * y
     rdr = z2 + (lam * lam) * y2 - lam * frame.x_op  # r^dag r, assembled without a product
     rr = r @ rho
@@ -154,9 +158,10 @@ def feedback_rate(frame: MeasurementFrame, rho, v: float, lam: float):
     )
 
 
-def _kron_sum_apply(k, x, sign: float):
-    """(K (x) 1 + sign 1 (x) K) x for a per-sample real factor K (d x d)
-    and a C-contiguous complex n x n array x, n = d^2.
+def _kron_sum_apply(k, x, sign: float, out, other):
+    """Write (K (x) 1 + sign 1 (x) K) x into out, for a per-sample real
+    factor K (d x d) and C-contiguous complex n x n arrays x, out and
+    other (scratch), n = d^2; returns out.
 
     The |m1, m2> index splits as (m1, m2), so K (x) 1 acts on x as a
     (d, d n) array and 1 (x) K on each of its d row blocks; both are d x d
@@ -165,17 +170,17 @@ def _kron_sum_apply(k, x, sign: float):
     """
     d = k.shape[0]
     n = x.shape[0]
-    xf = x.view(float)
-    out = (k @ xf.reshape(d, 2 * d * n)).reshape(n, 2 * n)
-    other = np.matmul(k, xf.reshape(d, d, 2 * n)).reshape(n, 2 * n)
+    xf, of, otherf = x.view(float), out.view(float), other.view(float)
+    np.matmul(k, xf.reshape(d, 2 * d * n), out=of.reshape(d, 2 * d * n))
+    np.matmul(k, xf.reshape(d, d, 2 * n), out=otherf.reshape(d, d, 2 * n))
     if sign > 0:
-        out += other
+        of += otherf
     else:
-        out -= other
-    return out.view(complex)
+        of -= otherf
+    return out
 
 
-def averaged_rate(frame: MeasurementFrame, rho, lam: float):
+def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None = None):
     """Right-hand side of the period-averaged master equation, (L0 + L1)/2.
 
     L0 and L1 are the generators at the first two quarter-period nodes,
@@ -192,31 +197,49 @@ def averaged_rate(frame: MeasurementFrame, rho, lam: float):
     for the diagonals d of D and e of E. That is four products with A or
     B, each applied one sample at a time, and no n x n operator; G + G^dag
     is Hermitian to the last bit.
+
+    The intermediates live in scratch, a dict the first call fills with
+    n x n work arrays (five complex, three real); a run passes the same
+    dict to every step, so only the returned rate is allocated per step.
+    A dozen fresh n x n temporaries per step would grow the heap and hand
+    it back to the system every step, and each 4 KiB page is a fault when
+    touched again. Between calls the work arrays hold nothing.
     """
     if frame.mode != "two":
         raise ValueError("the period-averaged generator needs a two-mode frame")
     rho = np.ascontiguousarray(rho, dtype=complex)
+    if scratch is None:
+        scratch = {}
+    if not scratch:
+        scratch["complex"] = np.empty((5,) + rho.shape, dtype=complex)
+        scratch["real"] = np.empty((3,) + rho.shape)
+    a, a_dag, inner, g, t = scratch["complex"]
+    dephase, de, tr = scratch["real"]
     k, d, e = frame.jy_factor, frame.jzp_diag, -frame.jzm_diag
-    a = _kron_sum_apply(k, rho, -1.0)
-    a_dag = np.conj(a.T, order="C")
-    inner = a + a_dag
+    _kron_sum_apply(k, rho, -1.0, a, t)
+    np.conjugate(a.T, out=a_dag)
+    np.add(a, a_dag, out=inner)
     inner *= 0.25
-    g = _kron_sum_apply(k, inner, -1.0)
-    dephase = np.square(d[:, None] - d)
+    _kron_sum_apply(k, inner, -1.0, g, t)
+    np.subtract(d[:, None], d, out=dephase)
+    np.square(dephase, out=dephase)
     if lam != 0.0:
-        de = e[:, None] - e
-        dephase += np.square(lam * de)
+        np.subtract(e[:, None], e, out=de)
+        np.multiply(lam, de, out=tr)
+        dephase += np.square(tr, out=tr)
         de *= 0.25 * lam
         a -= a_dag
-        g += de * a
-        b = _kron_sum_apply(k, rho, 1.0)
-        inner = np.conj(b.T, order="C")
+        g += np.multiply(de, a, out=t)
+        b = _kron_sum_apply(k, rho, 1.0, a_dag, t)  # a^dag is spent
+        np.conjugate(b.T, out=inner)
         inner += b
         inner *= 0.25 * lam * lam
-        inner += ((0.5 * lam) * (d[:, None] + d)) * rho
-        g += _kron_sum_apply(k, inner, 1.0)
+        np.add(d[:, None], d, out=tr)
+        np.multiply(0.5 * lam, tr, out=tr)
+        inner += np.multiply(tr, rho, out=t)
+        g += _kron_sum_apply(k, inner, 1.0, b, t)
     dephase *= -0.125
-    g += dephase * rho
+    g += np.multiply(dephase, rho, out=t)
     out = np.conj(g.T, order="C")
     out += g
     return out
@@ -251,56 +274,65 @@ def _quarter_period_steps(spec: EvolutionSpec) -> bool:
     )
 
 
-def countertwisting_step(rho, hamiltonian, delta_v: float):
-    comm = hamiltonian @ rho
-    out = rho + delta_v * (-1j) * (comm - comm.conj().T)
+def countertwist_propagator(hamiltonian, delta_v: float):
+    """exp(-i H delta_v) for a Hermitian H, from its eigenvectors."""
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    return (vectors * np.exp(-1j * delta_v * energies)) @ vectors.conj().T
+
+
+def countertwisting_step(rho, propagator):
+    """rho -> U rho U^dag, re-Hermitized; exact for a constant Hamiltonian."""
+    out = propagator @ rho @ propagator.conj().T
     return 0.5 * (out + out.conj().T)
 
 
 _RECORD_COLUMNS = ("v", "zeta", "chi", "purity", "lam", "xi2", "entangled", "mz2")
 
 
-def evolve(
-    rho0, spec: EvolutionSpec, controller: FeedbackScheme | None = None, zeta_floor: float | None = None
+def integrate(
+    rho0, spec: EvolutionSpec, controller, step, metrics, columns, meta: dict,
+    *, nodes: bool = False, window=None, zeta_floor: float | None = None,
 ) -> TrajectoryRecord:
-    """Integrate the deterministic evolution and record metrics rows.
+    """The step loop every run shares, averaged or conditioned.
 
-    Rows are recorded every record_stride steps starting at v = 0, so a
-    clean run yields exactly n_steps // record_stride + 1 rows and the
-    final time appears whenever the stride divides the step count.
-    Blow-ups are detected through trace drift
-    or non-finite moments; the run then stops with the rows collected so
-    far and a status describing the failure. Positivity is audited every
-    audit_stride steps and logged, never repaired. With zeta_floor set,
-    the run ends, status ok, at the first recorded row whose zeta is not
-    above it; that row is kept.
+    Each of the n_steps + 1 iterations checks the state's trace, takes
+    the controller's gain at v (at the node times (v, v + delta_v) when
+    nodes is set), records metrics(rho, frame, v=, lam=) as the named
+    columns every record_stride steps, audits positivity every
+    audit_stride steps, and then calls step(rho, v, lam) for the next
+    state and its trace before renormalisation (None if it does not
+    renormalise). So a clean run yields n_steps // record_stride + 1
+    rows, and the final time appears whenever the stride divides the
+    step count.
+
+    Without a window the steps keep the trace: a state whose trace is
+    off by more than TRACE_TOL ends the run, and max_trace_drift is the
+    largest |trace - 1| of a state. With a (low, high) window the steps
+    renormalise: a raw trace outside it ends the run, and max_trace_drift
+    is the largest raw |trace - 1|. A non-finite trace, moment or gain
+    also ends the run, keeping the rows recorded so far. Positivity is
+    logged and recorded, never repaired. With zeta_floor set, the run
+    ends, status ok, at the first recorded row whose zeta is not above
+    it; that row is kept. meta extends the record's meta.
     """
-    frame = spec.frame
+    frame, dv = spec.frame, spec.delta_v
     if rho0.shape != (frame.dim, frame.dim):
         raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
     rho = np.array(rho0, dtype=complex)
-    averaged = _quarter_period_steps(spec)
-    if averaged:
-        # the averaged steps keep Hermiticity exactly, so it is imposed once
-        rho = 0.5 * (rho + rho.conj().T)
     controller = controller or FeedbackScheme("none")
-    hamiltonian = None
-    if spec.generator != "feedback":
-        hamiltonian = countertwist_hamiltonian(frame, spec.generator, spec.twist_strength)
-
-    buf = _ColumnBuffer(_RECORD_COLUMNS)
+    pick = attrgetter(*columns)
+    rows = []
     status, abort_v, abort_reason = STATUS_OK, None, ""
     clamp_events = 0
     min_eig_floor = 0.0
     max_drift = 0.0
-    dv = spec.delta_v
-    last_rate = None  # the previous averaged rate, for Adams-Bashforth
 
     for n in range(spec.n_steps + 1):
         v = n * dv
-        trace = np.trace(rho).real
+        trace = rho.trace().real
         drift = abs(trace - 1.0)
-        max_drift = max(max_drift, drift)
+        if window is None:
+            max_drift = max(max_drift, drift)
         if not math.isfinite(trace):
             status, abort_v, abort_reason = "aborted-nonfinite", v, "non-finite trace"
             break
@@ -308,7 +340,7 @@ def evolve(
             status, abort_v, abort_reason = "aborted-trace", v, f"trace drift {drift:.3e}"
             break
         try:
-            lam, clamped = controller.gain(rho, frame, (v, v + dv) if averaged else v)
+            lam, clamped = controller.gain(rho, frame, (v, v + dv) if nodes else v)
         except GainError as err:
             status, abort_v, abort_reason = "aborted-gain", v, str(err)
             break
@@ -317,13 +349,11 @@ def evolve(
                 log.warning("gain clamped to %.3g at v=%.4f", lam, v)
             clamp_events += 1
         if n % spec.record_stride == 0:
-            row = compute_metrics(rho, frame, v=v, lam=lam)
+            row = metrics(rho, frame, v=v, lam=lam)
             if not math.isfinite(row.zeta):
                 status, abort_v, abort_reason = "aborted-nonfinite", v, "non-finite moments"
                 break
-            buf.append(
-                (row.v, row.zeta, row.chi, row.purity, row.lam, row.xi2, float(row.entangled), row.mz2)
-            )
+            rows.append(pick(row))
             if zeta_floor is not None and not row.zeta > zeta_floor:
                 break
         if spec.audit_stride and n % spec.audit_stride == 0:
@@ -334,32 +364,72 @@ def evolve(
             min_eig_floor = min(min_eig_floor, low)
         if n == spec.n_steps:
             break
-        if hamiltonian is not None:
-            rho = countertwisting_step(rho, hamiltonian, dv)
-        elif averaged:
-            rate = averaged_rate(frame, rho, lam)
-            step = rate if last_rate is None else 1.5 * rate - 0.5 * last_rate
-            last_rate = rate
-            rho = unconditioned_step(rho, frame, v, lam, dv, rate=step)
-        else:
-            rho = unconditioned_step(rho, frame, v, lam, dv)
+        rho, raw = step(rho, v, lam)
+        if window is not None:
+            max_drift = max(max_drift, abs(raw - 1.0))
+            if not window[0] < raw < window[1]:
+                status, abort_v = "aborted-norm", v + dv
+                abort_reason = f"trace {raw:.3e} outside renormalisation window"
+                break
 
-    meta = {
-        "mode": frame.mode,
-        "generator": spec.generator,
-        "delta_v": dv,
-        "v_max": spec.v_max,
-        "omega": frame.omega,
-        "scheme": controller.kind,
-        "conditioned": False,
-    }
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
     return TrajectoryRecord(
-        meta=meta,
-        columns=buf.finalize(),
+        meta={
+            "mode": frame.mode,
+            "generator": spec.generator,
+            "delta_v": dv,
+            "v_max": spec.v_max,
+            "omega": frame.omega,
+            "scheme": controller.kind,
+            **meta,
+        },
+        columns={name: table[:, i].copy() for i, name in enumerate(columns)},
         status=status,
         abort_v=abort_v,
         abort_reason=abort_reason,
         clamp_events=clamp_events,
         min_eig_floor=min_eig_floor,
         max_trace_drift=max_drift,
+    )
+
+
+def evolve(
+    rho0, spec: EvolutionSpec, controller: FeedbackScheme | None = None, zeta_floor: float | None = None
+) -> TrajectoryRecord:
+    """Integrate the deterministic evolution and record metrics rows; see
+    integrate for the row, abort and diagnostic contract."""
+    frame, dv = spec.frame, spec.delta_v
+    averaged = _quarter_period_steps(spec)
+    if spec.generator != "feedback":
+        propagator = countertwist_propagator(countertwist_hamiltonian(frame, spec.generator), dv)
+
+        def step(rho, v, lam):
+            return countertwisting_step(rho, propagator), None
+
+    elif averaged:
+        # the averaged steps keep Hermiticity exactly, so it is imposed once
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+        last_rate = None  # the previous averaged rate, for Adams-Bashforth
+        scratch = {}
+
+        def step(rho, v, lam):
+            nonlocal last_rate
+            rate = averaged_rate(frame, rho, lam, scratch)
+            combined = rate
+            if last_rate is not None:
+                # the rate's work arrays are free until the next call
+                combined, half_last = scratch["complex"][:2]
+                np.multiply(1.5, rate, out=combined)
+                combined -= np.multiply(0.5, last_rate, out=half_last)
+            last_rate = rate
+            return unconditioned_step(rho, frame, v, lam, dv, rate=combined), None
+
+    else:
+
+        def step(rho, v, lam):
+            return unconditioned_step(rho, frame, v, lam, dv), None
+
+    return integrate(
+        rho0, spec, controller, step, compute_metrics, _RECORD_COLUMNS, {"conditioned": False},
+        nodes=averaged, zeta_floor=zeta_floor,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -20,15 +19,18 @@ import numpy as np
 
 from .algebra import coherent_spin_state, single_mode_frame, two_mode_coherent_state, two_mode_frame
 from .dynamics import EvolutionSpec, evolve
-from .feedback import LAMBDA_CLAMP_DEFAULT, FeedbackScheme
+from .feedback import LAMBDA_CLAMP_DEFAULT, SCHEME_KINDS, FeedbackScheme
 from .metrics import SweepPoint, min_squeezing_sweep
 from .optimal_states import FrontierPoint, optimal_curve
-from .stochastic import average_records, run_trajectories, trajectory_run
+from .stochastic import average_records, fan_out, run_trajectories, trajectory_run
 from .trajectory import EnsembleRecord, TrajectoryRecord
 
 CSV_FORMAT = "spinlab-csv 1"
 MODES = ("single", "two")
-SCHEMES = ("none", "simple", "simple-conditioned", "analytic", "optimal", "spin1-analytic", "countertwist")
+# a scenario runs a gain law or, instead of feedback, countertwisting
+SCHEMES = SCHEME_KINDS + ("countertwist",)
+# a sweep can also read the best squeezing off the extremal-state frontier
+SWEEP_SCHEMES = SCHEMES + ("optimal-states",)
 
 # columns the artifact contract exposes, in order; conditioned runs get the tail
 _BASE_COLUMNS = ("v", "zeta", "chi", "purity", "lambda")
@@ -111,6 +113,23 @@ class SimConfig:
         )
         return np.outer(vec, vec.conj())
 
+    def controller(self) -> FeedbackScheme | None:
+        """The gain law; None for countertwisting, which feeds nothing back."""
+        if self.scheme == "countertwist":
+            return None
+        return FeedbackScheme(self.scheme, clamp=self.clamp)
+
+    def spec(self) -> EvolutionSpec:
+        """What to integrate, on a freshly built frame."""
+        generator = f"countertwist-{self.mode}" if self.scheme == "countertwist" else "feedback"
+        return EvolutionSpec(
+            frame=self.frame(),
+            generator=generator,
+            delta_v=self.delta_v,
+            v_max=self.v_max,
+            record_stride=self.stride,
+        )
+
     def header_items(self) -> list[tuple[str, str]]:
         """Flat key/value view; same spelling the config-file parser accepts."""
         return [
@@ -132,8 +151,9 @@ class SimConfig:
         return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+def _fmt(x) -> str:
+    """A CSV cell: 17 significant digits for a number, a string as it is."""
+    return x if isinstance(x, str) else "%.17g" % float(x)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
@@ -203,66 +223,51 @@ def load_config(path=None, cli_overrides: dict | None = None) -> SimConfig:
 # CSV artifacts
 
 
-def _trajectory_lines(record: TrajectoryRecord, config: SimConfig) -> list[str]:
-    names = _BASE_COLUMNS + (_COND_TAIL if config.conditioned else ())
-    lines = [f"# {CSV_FORMAT}", f"# config-hash {config.canonical_hash()}"]
-    lines += [f"# {k} = {v}" for k, v in config.header_items()]
-    if "traj_index" in record.meta and record.meta["traj_index"] is not None:
-        lines.append(f"# traj-index = {record.meta['traj_index']}")
-    lines.append(f"# status = {record.status}")
-    if record.abort_v is not None:
-        lines.append(f"# abort-v = {_fmt(record.abort_v)}")
-        lines.append(f"# abort-reason = {record.abort_reason}")
-    lines.append("# columns = " + ",".join(names))
-    cols = [record.column(_INTERNAL_NAME.get(n, n)) for n in names]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(x) for x in row))
-    return lines
+def _write_csv(path, header, names, rows) -> Path:
+    """Write one artifact: the format line, the given header lines, the
+    column list, then one line of cells per row."""
+    lines = [f"# {CSV_FORMAT}", *header, "# columns = " + ",".join(names)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _config_header(config: SimConfig) -> list[str]:
+    return [f"# config-hash {config.canonical_hash()}"] + [
+        f"# {k} = {v}" for k, v in config.header_items()
+    ]
 
 
 def write_trajectory_csv(record: TrajectoryRecord, config: SimConfig, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(_trajectory_lines(record, config)) + "\n")
-    return path
+    names = _BASE_COLUMNS + (_COND_TAIL if config.conditioned else ())
+    header = _config_header(config)
+    if "traj_index" in record.meta and record.meta["traj_index"] is not None:
+        header.append(f"# traj-index = {record.meta['traj_index']}")
+    header.append(f"# status = {record.status}")
+    if record.abort_v is not None:
+        header.append(f"# abort-v = {_fmt(record.abort_v)}")
+        header.append(f"# abort-reason = {record.abort_reason}")
+    cols = [record.column(_INTERNAL_NAME.get(n, n)) for n in names]
+    return _write_csv(path, header, names, zip(*cols))
 
 
 def write_ensemble_csv(ensemble: EnsembleRecord, config: SimConfig, path) -> Path:
     """Mean columns across the ensemble, same layout as a single run."""
     names = _BASE_COLUMNS + _COND_TAIL
-    lines = [f"# {CSV_FORMAT}", f"# config-hash {config.canonical_hash()}"]
-    lines += [f"# {k} = {v}" for k, v in config.header_items()]
-    lines.append(f"# trajectories = {ensemble.n_trajectories}")
-    lines.append("# columns = " + ",".join(names))
+    header = _config_header(config) + [f"# trajectories = {ensemble.n_trajectories}"]
     cols = [ensemble.columns[_INTERNAL_NAME.get(n, n)] for n in names]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(x) for x in row))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_csv(path, header, names, zip(*cols))
 
 
 def write_frontier_csv(points: list[FrontierPoint], path) -> Path:
-    lines = [f"# {CSV_FORMAT}", "# columns = mu,chi,zeta"]
-    for p in points:
-        lines.append(",".join((_fmt(p.mu), _fmt(p.chi), _fmt(p.zeta))))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_csv(path, [], ("mu", "chi", "zeta"), ((p.mu, p.chi, p.zeta) for p in points))
 
 
 def write_sweep_csv(points: list[SweepPoint], path) -> Path:
-    lines = [f"# {CSV_FORMAT}", "# columns = mode,scheme,twice_j,xi2_min,scaled"]
-    for p in points:
-        lines.append(
-            ",".join((p.mode, p.scheme, str(p.twice_j), _fmt(p.xi2_min), _fmt(p.scaled)))
-        )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = ((p.mode, p.scheme, str(p.twice_j), p.xi2_min, p.scaled) for p in points)
+    return _write_csv(path, [], ("mode", "scheme", "twice_j", "xi2_min", "scaled"), rows)
 
 
 def read_csv(path) -> tuple[dict, dict]:
@@ -312,23 +317,6 @@ def _is_float(cell: str) -> bool:
 # Scenario execution
 
 
-def _controller_and_generator(config: SimConfig) -> tuple[FeedbackScheme | None, str]:
-    if config.scheme == "countertwist":
-        return None, f"countertwist-{config.mode}"
-    return FeedbackScheme(config.scheme, clamp=config.clamp), "feedback"
-
-
-def _spec(config: SimConfig) -> EvolutionSpec:
-    controller, generator = _controller_and_generator(config)
-    return EvolutionSpec(
-        frame=config.frame(),
-        generator=generator,
-        delta_v=config.delta_v,
-        v_max=config.v_max,
-        record_stride=config.stride,
-    )
-
-
 def run_scenario(config: SimConfig) -> TrajectoryRecord:
     """Integrate one scenario and, when config.out is set, persist it.
 
@@ -336,13 +324,11 @@ def run_scenario(config: SimConfig) -> TrajectoryRecord:
     run_ensemble for averages. Aborted runs still write their partial
     rows so the failure is inspectable.
     """
-    controller, _ = _controller_and_generator(config)
-    spec = _spec(config)
     rho0 = config.initial_state()
     if config.conditioned:
-        record = trajectory_run(rho0, spec, controller, seed=config.seed, traj_index=0)
+        record = trajectory_run(rho0, config.spec(), config.controller(), seed=config.seed, traj_index=0)
     else:
-        record = evolve(rho0, spec, controller)
+        record = evolve(rho0, config.spec(), config.controller())
     if config.out:
         write_trajectory_csv(record, config, config.out)
     return record
@@ -355,11 +341,10 @@ def run_ensemble(config: SimConfig) -> tuple[EnsembleRecord, list[TrajectoryReco
     the averaged columns get _mean. No two workers share a file.
     """
     config = replace(config, conditioned=True)
-    controller, _ = _controller_and_generator(config)
     records = run_trajectories(
         config.initial_state(),
-        _spec(config),
-        controller,
+        config.spec(),
+        config.controller(),
         seed=config.seed,
         n_trajectories=config.ensemble,
         jobs=config.jobs,
@@ -402,45 +387,50 @@ def gamma_from_experiment(coupling: float = 5e-13, photon_flux: float = 2e16) ->
 # Bundled scenario sets: canonical curve families, one CSV per curve
 
 
+def sweep_v_max(scheme: str) -> float:
+    """Horizon of a best-squeezing sweep: countertwisting passes its best
+    squeezing well before v = 5, the feedback laws need up to v = 20."""
+    return 5.0 if scheme == "countertwist" else 20.0
+
+
+_FIG6_SCHEMES = ("simple", "analytic", "optimal", "countertwist", "optimal-states")
+
+
 def _bundle_runs(**named_configs: SimConfig):
     return tuple(("run", name, cfg) for name, cfg in named_configs.items())
-
-
-def _cfg(**kw) -> SimConfig:
-    return SimConfig(**kw)
 
 
 FIGURE_BUNDLES: dict[str, tuple] = {
     # workhorse trajectory: variance dip, purity excursion, late-time plateau
     "fig1": _bundle_runs(
-        simple=_cfg(mode="two", twice_j=10, scheme="simple", stride=10),
+        simple=SimConfig(mode="two", twice_j=10, scheme="simple", stride=10),
     ),
     # gain-law shoot-out against the reachable frontier at the same size
     "fig2": _bundle_runs(
-        simple=_cfg(mode="two", twice_j=10, scheme="simple", stride=10),
-        analytic=_cfg(mode="two", twice_j=10, scheme="analytic", stride=10),
-        optimal=_cfg(mode="two", twice_j=10, scheme="optimal", stride=10),
-        countertwist=_cfg(mode="two", twice_j=10, scheme="countertwist", v_max=5.0, stride=10),
+        simple=SimConfig(mode="two", twice_j=10, scheme="simple", stride=10),
+        analytic=SimConfig(mode="two", twice_j=10, scheme="analytic", stride=10),
+        optimal=SimConfig(mode="two", twice_j=10, scheme="optimal", stride=10),
+        countertwist=SimConfig(mode="two", twice_j=10, scheme="countertwist", v_max=5.0, stride=10),
     )
     + (("frontier", "optimal-states", ("two", 10)),),
     # matched-noise conditioned pair: regulation on vs off, same record noise
     "fig3": _bundle_runs(
-        regulated=_cfg(
+        regulated=SimConfig(
             mode="two", twice_j=10, scheme="simple-conditioned",
             conditioned=True, v_max=10.0, seed=7, stride=10,
         ),
-        unregulated=_cfg(
+        unregulated=SimConfig(
             mode="two", twice_j=10, scheme="none",
             conditioned=True, v_max=10.0, seed=7, stride=10,
         ),
     ),
     # smallest nontrivial spin: feedback laws collapse onto the frontier
     "fig4": _bundle_runs(
-        simple=_cfg(mode="single", twice_j=2, scheme="simple", stride=10),
-        analytic=_cfg(mode="single", twice_j=2, scheme="analytic", stride=10),
-        optimal=_cfg(mode="single", twice_j=2, scheme="optimal", stride=10),
-        closed_form=_cfg(mode="single", twice_j=2, scheme="spin1-analytic", stride=10),
-        countertwist=_cfg(mode="single", twice_j=2, scheme="countertwist", v_max=5.0, stride=10),
+        simple=SimConfig(mode="single", twice_j=2, scheme="simple", stride=10),
+        analytic=SimConfig(mode="single", twice_j=2, scheme="analytic", stride=10),
+        optimal=SimConfig(mode="single", twice_j=2, scheme="optimal", stride=10),
+        closed_form=SimConfig(mode="single", twice_j=2, scheme="spin1-analytic", stride=10),
+        countertwist=SimConfig(mode="single", twice_j=2, scheme="countertwist", v_max=5.0, stride=10),
     )
     + (("frontier", "optimal-states", ("single", 2)),),
     # reachable frontiers at two total spins
@@ -449,14 +439,8 @@ FIGURE_BUNDLES: dict[str, tuple] = {
         ("frontier", "total-spin-10", ("single", 20)),
     ),
     # scaling of the best squeezing with size, one sweep per scheme
-    "fig6a": tuple(
-        ("sweep", scheme, ("single", (2, 4, 6, 10, 14, 20), scheme))
-        for scheme in ("simple", "analytic", "optimal", "countertwist", "optimal-states")
-    ),
-    "fig6b": tuple(
-        ("sweep", scheme, ("two", (1, 2, 4, 6, 10), scheme))
-        for scheme in ("simple", "analytic", "optimal", "countertwist", "optimal-states")
-    ),
+    "fig6a": tuple(("sweep", scheme, ("single", (2, 4, 6, 10, 14, 20), scheme)) for scheme in _FIG6_SCHEMES),
+    "fig6b": tuple(("sweep", scheme, ("two", (1, 2, 4, 6, 10), scheme)) for scheme in _FIG6_SCHEMES),
 }
 
 
@@ -472,8 +456,7 @@ def _figure_item(args):
         return name, "ok"
     if kind == "sweep":
         mode, twice_j_values, scheme = payload
-        v_max = 5.0 if scheme == "countertwist" else 20.0
-        points = min_squeezing_sweep(mode, twice_j_values, scheme, v_max=v_max)
+        points = min_squeezing_sweep(mode, twice_j_values, scheme, v_max=sweep_v_max(scheme))
         write_sweep_csv(points, out)
         return name, "ok"
     raise ValueError(f"unknown bundle item kind {kind!r}")
@@ -490,9 +473,4 @@ def run_figure(figure_id: str, out_dir=None, jobs: int = 1) -> dict[str, str]:
     out_dir = Path(out_dir) if out_dir is not None else Path("figures") / figure_id
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(kind, name, payload, str(out_dir)) for kind, name, payload in FIGURE_BUNDLES[figure_id]]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_figure_item, tasks))
-    else:
-        results = [_figure_item(t) for t in tasks]
-    return dict(results)
+    return dict(fan_out(_figure_item, tasks, jobs))

@@ -151,9 +151,8 @@ def min_squeezing_sweep(
     end of the resolved prefix (interior=False) about a percent above the
     true asymptote; "optimal-states" gives the exact value.
     """
-    from . import dynamics  # deferred: dynamics records rows through this module
-    from .feedback import FeedbackScheme
-    from .algebra import single_mode_frame, two_mode_frame
+    from . import dynamics  # deferred: dynamics and harness both import this module
+    from .harness import SimConfig
     from .optimal_states import min_xi2_on_curve, optimal_curve
 
     points = []
@@ -167,26 +166,14 @@ def min_squeezing_sweep(
                 SweepPoint(mode, twice_j, scheme, best.xi2, math.nan, (j + 1) * best.xi2, "ok", True)
             )
             continue
-        if mode == "two":
-            frame = two_mode_frame(twice_j, omega=math.pi / (2 * delta_v))
-        else:
-            frame = single_mode_frame(twice_j)
-        if scheme == "countertwist":
-            generator = f"countertwist-{frame.mode}"
-            controller = None
-        else:
-            generator = "feedback"
-            controller = FeedbackScheme(scheme, clamp=clamp)
-        spec = dynamics.EvolutionSpec(
-            frame=frame,
-            generator=generator,
-            delta_v=delta_v,
-            v_max=v_max,
-            record_stride=record_stride,
+        config = SimConfig(
+            mode=mode, twice_j=twice_j, scheme=scheme, delta_v=delta_v, v_max=v_max,
+            stride=record_stride, clamp=clamp,
         )
-        rho0 = _initial_state(mode, twice_j)
         zeta_floor = ZETA_RESOLUTION_STEPS * delta_v
-        record = dynamics.evolve(rho0, spec, controller, zeta_floor=zeta_floor)
+        record = dynamics.evolve(
+            config.initial_state(), config.spec(), config.controller(), zeta_floor=zeta_floor
+        )
         xi2_min, v_min, interior = _xi2_minimum(
             record.column("v"),
             record.column("xi2"),
@@ -198,9 +185,3 @@ def min_squeezing_sweep(
         )
     return points
 
-
-def _initial_state(mode: str, twice_j: int):
-    from .algebra import coherent_spin_state, two_mode_coherent_state
-
-    psi = two_mode_coherent_state(twice_j) if mode == "two" else coherent_spin_state(twice_j)
-    return np.outer(psi, psi.conj())

@@ -18,20 +18,27 @@ Noise is one standard normal per step from a counter-based generator
 keyed on (seed, trajectory index), so trajectories are reproducible
 bit-for-bit and different controllers can be compared on identical
 noise records.
+
+Only the step and its noise live here: the trace checks, gain, metrics
+rows, positivity audit and abort statuses come from the step loop in
+dynamics.integrate, which the deterministic runs share. fan_out is the
+package's one process fan-out; ensembles, bundled curve sets and CLI
+sweeps all go through it.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .algebra import MeasurementFrame, expect_real
-from .dynamics import EvolutionSpec
-from .feedback import FeedbackScheme, GainError
+from .dynamics import EvolutionSpec, integrate
+from .feedback import FeedbackScheme
 from .metrics import compute_metrics
-from .trajectory import EnsembleRecord, STATUS_OK, TrajectoryRecord, _ColumnBuffer
+from .trajectory import EnsembleRecord, TrajectoryRecord
 
 TRACE_WINDOW = (0.5, 2.0)
 
@@ -62,11 +69,8 @@ _COND_COLUMNS = (
 
 def conditioned_step(rho, frame: MeasurementFrame, v: float, lam: float, delta_v: float, dw: float):
     """One stochastic step; returns (new rho, record increment, trace before renorm)."""
-    c, s = frame.coefficients(v)
-    from .algebra import _blend_linear, _blend_quadratic
-
-    z = _blend_linear(frame._zc, frame._zs, c, s)
-    z2 = _blend_quadratic(frame._zz, c, s)
+    z = frame.z_at(v)
+    z2 = frame.z2_at(v)
     mz = expect_real(z, rho)
     dy = 2.0 * mz * delta_v + dw
 
@@ -77,8 +81,8 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam: float, delta_v
     mid += dw * (zr + zr.conj().T - 2.0 * mz * rho)
 
     if lam != 0.0:
-        y = _blend_linear(frame._yc, frame._ys, c, s)
-        y2 = _blend_quadratic(frame._yy, c, s)
+        y = frame.y_at(v)
+        y2 = frame.y2_at(v)
         kick = lam * dy
         u = -1j * kick * y - 0.5 * kick * kick * y2
         u[np.diag_indices_from(u)] += 1.0
@@ -98,85 +102,37 @@ def trajectory_run(
     seed: int = 0,
     traj_index: int = 0,
 ) -> TrajectoryRecord:
-    """Integrate one record-conditioned trajectory.
+    """Integrate one record-conditioned trajectory through dynamics.integrate.
 
     The recorded squeezing column is mean-subtracted (genuine
     conditional variance); the raw means of the two measured components
-    ride along so the unconditioned second moment can be rebuilt. The
-    record's max_trace_drift is the largest |trace - 1| a step left
-    before renormalisation, and its min_eig_floor the lowest state
-    eigenvalue seen by the positivity audit every audit_stride steps.
+    ride along so the unconditioned second moment can be rebuilt. Each
+    step renormalises the trace, so the record's max_trace_drift is the
+    largest |trace - 1| a step left before renormalisation, and a trace
+    outside TRACE_WINDOW ends the run "aborted-norm".
     """
-    frame = spec.frame
     if spec.generator != "feedback":
         raise ValueError("conditioned runs support only the feedback generator")
-    if rho0.shape != (frame.dim, frame.dim):
-        raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
-    rho = np.array(rho0, dtype=complex)
-    controller = controller or FeedbackScheme("none")
+    frame, dv = spec.frame, spec.delta_v
     stream = WienerStream(seed, traj_index)
 
-    buf = _ColumnBuffer(_COND_COLUMNS)
-    status, abort_v, abort_reason = STATUS_OK, None, ""
-    clamp_events = 0
-    min_eig_floor = 0.0
-    max_drift = 0.0  # largest |trace - 1| before renormalisation
-    dv = spec.delta_v
+    def step(rho, v, lam):
+        rho, _, trace = conditioned_step(rho, frame, v, lam, dv, stream.increment(dv))
+        return rho, trace
 
-    for n in range(spec.n_steps + 1):
-        v = n * dv
-        trace = np.trace(rho).real
-        if not math.isfinite(trace):
-            status, abort_v, abort_reason = "aborted-nonfinite", v, "non-finite trace"
-            break
-        try:
-            lam, clamped = controller.gain(rho, frame, v)
-        except GainError as err:
-            status, abort_v, abort_reason = "aborted-gain", v, str(err)
-            break
-        clamp_events += int(clamped)
-        if n % spec.record_stride == 0:
-            row = compute_metrics(rho, frame, v=v, lam=lam, conditioned=True)
-            if not math.isfinite(row.zeta):
-                status, abort_v, abort_reason = "aborted-nonfinite", v, "non-finite moments"
-                break
-            buf.append(
-                (row.v, row.zeta, row.chi, row.purity, row.lam, row.xi2,
-                 float(row.entangled), row.mz2, row.zc_mean, row.yc_mean)
-            )
-        if spec.audit_stride and n % spec.audit_stride == 0:
-            min_eig_floor = min(min_eig_floor, float(np.linalg.eigvalsh(rho)[0]))
-        if n == spec.n_steps:
-            break
-        dw = stream.increment(dv)
-        rho, _, trace_raw = conditioned_step(rho, frame, v, lam, dv, dw)
-        max_drift = max(max_drift, abs(trace_raw - 1.0))
-        if not (TRACE_WINDOW[0] < trace_raw < TRACE_WINDOW[1]):
-            status, abort_v = "aborted-norm", v + dv
-            abort_reason = f"trace {trace_raw:.3e} outside renormalisation window"
-            break
-
-    meta = {
-        "mode": frame.mode,
-        "generator": "feedback",
-        "delta_v": dv,
-        "v_max": spec.v_max,
-        "omega": frame.omega,
-        "scheme": controller.kind,
-        "conditioned": True,
-        "seed": seed,
-        "traj_index": traj_index,
-    }
-    return TrajectoryRecord(
-        meta=meta,
-        columns=buf.finalize(),
-        status=status,
-        abort_v=abort_v,
-        abort_reason=abort_reason,
-        clamp_events=clamp_events,
-        min_eig_floor=min_eig_floor,
-        max_trace_drift=max_drift,
+    return integrate(
+        rho0, spec, controller, step, partial(compute_metrics, conditioned=True), _COND_COLUMNS,
+        {"conditioned": True, "seed": seed, "traj_index": traj_index}, window=TRACE_WINDOW,
     )
+
+
+def fan_out(fn, tasks, jobs: int = 1) -> list:
+    """[fn(task) for task in tasks], across up to jobs worker processes
+    when jobs > 1; fn and every task must pickle. Results keep task order."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
 
 
 def _one(args):
@@ -195,11 +151,7 @@ def run_trajectories(
     """Independent conditioned trajectories, optionally across processes."""
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
-    tasks = [(rho0, spec, controller, seed, i) for i in range(n_trajectories)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_one, tasks))
-    return [_one(t) for t in tasks]
+    return fan_out(_one, [(rho0, spec, controller, seed, i) for i in range(n_trajectories)], jobs)
 
 
 def average_records(records: list[TrajectoryRecord]) -> EnsembleRecord:

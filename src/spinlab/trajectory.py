@@ -41,23 +41,6 @@ class TrajectoryRecord:
         return self.columns[name]
 
 
-class _ColumnBuffer:
-    """Append-only row collector that finalizes into numpy columns."""
-
-    def __init__(self, names):
-        self.names = list(names)
-        self._rows = []
-
-    def append(self, values):
-        self._rows.append(values)
-
-    def finalize(self) -> dict:
-        if not self._rows:
-            return {name: np.empty(0) for name in self.names}
-        arr = np.asarray(self._rows, dtype=float)
-        return {name: arr[:, i].copy() for i, name in enumerate(self.names)}
-
-
 @dataclass
 class EnsembleRecord:
     """Pointwise trajectory average with standard errors."""

@@ -23,6 +23,7 @@ from spinlab.algebra import (
 from spinlab.dynamics import (
     EvolutionSpec,
     countertwist_hamiltonian,
+    countertwist_propagator,
     countertwisting_step,
     evolve,
 )
@@ -170,9 +171,11 @@ def test_criterion_03_spin_half_pair_equivalence(spin1_runs):
     rho_a = css_rho("two", 1)
     rho_b = rho_a.copy()
     frobenius = 0.0
+    u_pair = countertwist_propagator(h_pair, 1e-3)
+    u_merged = countertwist_propagator(h_merged, 1e-3)
     for _ in range(1000):
-        rho_a = countertwisting_step(rho_a, h_pair, 1e-3)
-        rho_b = countertwisting_step(rho_b, h_merged, 1e-3)
+        rho_a = countertwisting_step(rho_a, u_pair)
+        rho_b = countertwisting_step(rho_b, u_merged)
         frobenius = max(frobenius, float(np.linalg.norm(rho_a - rho_b)))
     checks = [
         (f"countertwisting generators agree to {h_gap:.1e}", h_gap < 1e-12),

@@ -1,0 +1,115 @@
+"""Golden artifacts: the sha256 of the CSVs a set of tiny scenarios writes.
+
+One scenario per stepper and per writer, each a few dozen steps on a
+dimension of at most 25, so the set runs in about a second. A change
+that moves any stored number by one bit, reorders a column or edits a
+header line fails here. A change meant to move an artifact updates its
+hash and names it in CHANGES.md.
+
+The hashes pin this build's floating point: another numpy, BLAS or CPU
+may round a product differently and fail every entry at once.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from spinlab.dynamics import EvolutionSpec, evolve
+from spinlab.feedback import FeedbackScheme
+from spinlab.harness import (
+    SimConfig,
+    run_ensemble,
+    run_scenario,
+    write_frontier_csv,
+    write_sweep_csv,
+    write_trajectory_csv,
+)
+from spinlab.metrics import min_squeezing_sweep
+from spinlab.optimal_states import optimal_curve
+from spinlab.stochastic import trajectory_run
+
+_TINY = dict(delta_v=1e-3, v_max=0.05, stride=5)
+
+RUNS = {
+    "averaged-two": SimConfig(mode="two", twice_j=4, scheme="simple", **_TINY),
+    "euler-two-optimal": SimConfig(mode="two", twice_j=2, scheme="optimal", omega=7.3, **_TINY),
+    "euler-single": SimConfig(mode="single", twice_j=4, scheme="analytic", **_TINY),
+    "countertwist-two": SimConfig(mode="two", twice_j=4, scheme="countertwist", **_TINY),
+    "countertwist-single": SimConfig(mode="single", twice_j=4, scheme="countertwist", **_TINY),
+    "conditioned": SimConfig(
+        mode="two", twice_j=2, scheme="simple-conditioned", conditioned=True, seed=5, **_TINY
+    ),
+}
+
+
+class _Kick(FeedbackScheme):
+    """A gain far beyond what either integrator can step."""
+
+    def __init__(self):
+        super().__init__("simple", clamp=1e12)
+
+    def gain(self, rho, frame, v):
+        return 1e6, False
+
+
+def _write_artifacts(out):
+    for name, config in RUNS.items():
+        run_scenario(replace(config, out=str(out / f"{name}.csv")))
+    ens = SimConfig(
+        mode="single", twice_j=2, scheme="simple-conditioned", conditioned=True,
+        ensemble=3, seed=3, out=str(out / "ens.csv"), **_TINY,
+    )
+    run_ensemble(ens)
+    for name, config in (
+        ("aborted-averaged", SimConfig(mode="two", twice_j=2, **_TINY)),
+        ("aborted-conditioned", SimConfig(mode="single", twice_j=2, conditioned=True, **_TINY)),
+    ):
+        spec = EvolutionSpec(frame=config.frame(), delta_v=config.delta_v, v_max=config.v_max)
+        if config.conditioned:
+            record = trajectory_run(config.initial_state(), spec, _Kick(), seed=config.seed)
+        else:
+            record = evolve(config.initial_state(), spec, _Kick())
+        assert not record.ok
+        write_trajectory_csv(record, config, out / f"{name}.csv")
+    points = min_squeezing_sweep("two", (1, 2), "simple", v_max=0.05)
+    points += min_squeezing_sweep("single", (2,), "optimal-states")
+    write_sweep_csv(points, out / "sweep.csv")
+    write_frontier_csv(optimal_curve("two", 2, n_mu=20), out / "frontier.csv")
+
+
+def artifact_hashes(out) -> dict:
+    _write_artifacts(out)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
+
+
+EXPECTED = {
+    "aborted-averaged.csv": "3c403d75a6b5e2febc6819424a3ca28202ee7bc337e53e681e43e381ba9623be",
+    "aborted-conditioned.csv": "17c2c9f6f590b7860b6b554141b4966f010971b2a6c6721eac2c27478d7e8f85",
+    "averaged-two.csv": "cd1d196c96bc64ad16ce482dd0b148afbf0b1b2ca20c42f3643ad223bf37f1db",
+    "conditioned.csv": "967cfcb3a6d4680848a0e59335775a53882fcf4928bc1538e76b2e45c280c122",
+    "countertwist-single.csv": "4440bef4e846427297ac852c8e49962ff97c02d3a6fe836ee3901f2bb30d5d37",
+    "countertwist-two.csv": "e8de615aca741ac13bab102b8178e6b8cd677345d384919b20e5f18a4ab6fb26",
+    "ens_mean.csv": "85179edb1aea4b632f8b8ecb455b7e97a0fd993dde3c85f5d3354ee843eaf900",
+    "ens_t0.csv": "5217404e2f44b9887e9af5b10efeed905a78972596c4658d9997d0b36a65b3b9",
+    "ens_t1.csv": "16d29c90cb166b90c34e30acd482a9949592b2c79c8562941a90e175fd3aa6ca",
+    "ens_t2.csv": "0582cbd474265d9bbf99b4c2aa7cc4d8d8e3f1b8a590b1c561053a995231195e",
+    "euler-single.csv": "309c40002cec2d15f31c0d567771da6ceb377865a2d956254dfae06b8a140d2c",
+    "euler-two-optimal.csv": "e3e7c964ad9d3a489e5c5336fd4470409769cbf9494bfec3f77c840467a417a6",
+    "frontier.csv": "71200d241a05d9387eb61ead1d36d77e825a3db5e514813cd3635002e73206e2",
+    "sweep.csv": "503bad5f3470ecc328327fd89a14537341021a69ca9eddc96e09236f7e7d074d",
+}
+
+
+@pytest.fixture(scope="module")
+def hashes(tmp_path_factory):
+    return artifact_hashes(tmp_path_factory.mktemp("golden"))
+
+
+def test_artifact_set_is_complete(hashes):
+    assert sorted(hashes) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_artifact_bytes_are_pinned(hashes, name):
+    assert hashes[name] == EXPECTED[name]

@@ -33,6 +33,22 @@ def test_config_errors_exit_two(capsys):
     assert main(["run", "--omega", "fast"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--mode", "two", "--scheme", "simple", "--twice-j", "1", "--delta-v", "0.5"],
+        ["sweep", "--mode", "two", "--scheme", "simple", "--twice-j", "0"],
+        ["sweep", "--mode", "single", "--scheme", "optimal-states", "--twice-j", "2,0"],
+        ["frontier", "--mode", "two", "--twice-j", "0"],
+    ],
+    ids=["sweep-delta-v", "sweep-twice-j", "optimal-states-twice-j", "frontier-twice-j"],
+)
+def test_bad_input_exits_two(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("delta-v" in err or "twice-j" in err)
+
+
 def test_aborted_run_exits_three(monkeypatch, capsys):
     fake = SimpleNamespace(n_rows=3, status="aborted-trace", ok=False,
                            abort_v=0.5, abort_reason="synthetic")

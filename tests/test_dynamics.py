@@ -13,6 +13,7 @@ from spinlab.dynamics import (
     averaged_rate,
     conditioning_superop,
     countertwist_hamiltonian,
+    countertwist_propagator,
     countertwisting_step,
     dissipator,
     evolve,
@@ -93,6 +94,10 @@ def test_averaged_rate_is_mean_of_node_rates(lam):
         got = averaged_rate(fr, rho, lam)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max(), twice_j
         assert np.array_equal(got, got.conj().T)
+        # a run reuses one scratch dict; what an earlier step left there must not leak
+        scratch = {}
+        averaged_rate(fr, rho.conj(), -lam - 0.5, scratch)
+        assert np.array_equal(averaged_rate(fr, rho, lam, scratch), got)
 
 
 def _quarter_period_run(twice_j, rho0, scheme="simple", v_max=0.02):
@@ -194,10 +199,10 @@ def test_countertwist_needs_matching_frame():
 
 def test_countertwisting_step_preserves_trace_exactly():
     fr = two_mode_frame(2, omega=1.0)
-    h = countertwist_hamiltonian(fr, "countertwist-two")
+    u = countertwist_propagator(countertwist_hamiltonian(fr, "countertwist-two"), 1e-3)
     rho = css_rho("two", 2)
     for _ in range(50):
-        rho = countertwisting_step(rho, h, 1e-3)
+        rho = countertwisting_step(rho, u)
     assert abs(np.trace(rho).real - 1.0) < 1e-13
 
 
@@ -210,13 +215,13 @@ def test_countertwist_keeps_measured_variances_balanced():
     from spinlab.algebra import expect_real
 
     # reconstruct the imbalance from a fresh integration of the same flow
-    h = countertwist_hamiltonian(fr, "countertwist-two")
+    u = countertwist_propagator(countertwist_hamiltonian(fr, "countertwist-two"), 1e-3)
     rho = css_rho("two", 4)
     zz = ops.jzp @ ops.jzp
     yy = ops.jym @ ops.jym
     worst = 0.0
     for _ in range(1000):
-        rho = countertwisting_step(rho, h, 1e-3)
+        rho = countertwisting_step(rho, u)
         worst = max(worst, abs(expect_real(zz - yy, rho)))
     assert worst < 1e-10
     assert rec.ok

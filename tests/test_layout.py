@@ -1,0 +1,52 @@
+"""Package layout rules, checked on the source: each module reaches the
+others only through their public names, the frame's operators are read
+only through its public methods, and one module owns process fan-out."""
+
+import ast
+from pathlib import Path
+
+import spinlab
+
+SOURCES = {path.stem: ast.parse(path.read_text()) for path in Path(spinlab.__file__).parent.glob("*.py")}
+
+
+def _is_frame(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "frame") or (
+        isinstance(node, ast.Attribute) and node.attr == "frame"
+    )
+
+
+def test_no_private_names_imported_across_modules():
+    found = [
+        f"{module}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for module, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("spinlab"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found
+
+
+def test_frame_internals_stay_in_algebra():
+    found = [
+        f"{module}:{node.lineno} frame.{node.attr}"
+        for module, tree in SOURCES.items()
+        if module != "algebra"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and _is_frame(node.value)
+    ]
+    assert not found
+
+
+def test_one_module_owns_the_process_pool():
+    owners = [
+        module
+        for module, tree in SOURCES.items()
+        if any(
+            (isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor")
+            or (isinstance(node, ast.alias) and node.name == "ProcessPoolExecutor")
+            for node in ast.walk(tree)
+        )
+    ]
+    assert len(owners) == 1, owners
