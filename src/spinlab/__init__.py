@@ -10,7 +10,6 @@ from .algebra import (
     SpinQuantum,
     spin_matrices,
     coherent_spin_state,
-    two_mode_ops,
     two_mode_coherent_state,
     MeasurementFrame,
     single_mode_frame,
@@ -28,7 +27,6 @@ __all__ = [
     "SpinQuantum",
     "spin_matrices",
     "coherent_spin_state",
-    "two_mode_ops",
     "two_mode_coherent_state",
     "MeasurementFrame",
     "single_mode_frame",

@@ -21,9 +21,11 @@ operator and each constant product is built on first use: a run whose
 steps all land on frame nodes never builds the cross terms, and a frame
 that is only inspected builds none.
 
-Every two-sample operator is a Kronecker sum of one per-sample factor,
-so the two-mode frame also carries those factors (J_y = iK with K real,
-and the diagonals of J_z^+ and J_z^-). An integrator that applies them
+Every two-sample operator is a Kronecker sum over one sample's spin
+matrices, J^(+-) = J (x) 1 +- 1 (x) J, and those per-sample matrices are
+all a two-mode frame holds: it builds each dense operator from them on
+first read. It also carries the per-sample factors (J_y = iK with K real,
+and the diagonals of J_z^+ and J_z^-); an integrator that applies them
 sample by sample pays O(dim^2 (2j+1)) per product instead of dim^3 and
 never builds the dense operators it does not read.
 """
@@ -102,71 +104,11 @@ def coherent_spin_state(twice_j: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-class _KronOp:
-    """One dense two-sample operator of TwoModeOps, built on first read and
-    then cached on the instance: the component on sample 1 (kind "1"), on
-    sample 2 ("2"), their sum ("p") or their difference ("m")."""
-
-    def __init__(self, component: str, kind: str):
-        self.component, self.kind = component, kind
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ops, owner=None):
-        if ops is None:
-            return self
-        op = getattr(spin_matrices(ops.twice_j), self.component)
-        eye = np.eye(ops.twice_j + 1)
-        if self.kind == "1":
-            value = np.kron(op, eye)
-        elif self.kind == "2":
-            value = np.kron(eye, op)
-        elif self.kind == "p":
-            value = np.kron(op, eye) + np.kron(eye, op)
-        else:
-            value = np.kron(op, eye) - np.kron(eye, op)
-        ops.__dict__[self.name] = value
-        return value
-
-
-@dataclass(frozen=True)
-class TwoModeOps:
-    """Single-sample, sum and difference operators for two identical spins.
-
-    Each dense n x n operator is built on first read. The per-sample
-    factors are small and exact: J_y = i jy_factor on each sample with
-    jy_factor real (d x d, d = 2j + 1), and J_z^(+-) are diagonal with
-    entries m1 +- m2 in the |m1, m2> order.
-    """
-
-    twice_j: int  # per sample
-
-    jx1, jx2, jxp, jxm = (_KronOp("jx", kind) for kind in "12pm")
-    jy1, jy2, jyp, jym = (_KronOp("jy", kind) for kind in "12pm")
-    jz1, jz2, jzp, jzm = (_KronOp("jz", kind) for kind in "12pm")
-
-    @property
-    def dim(self) -> int:
-        return (self.twice_j + 1) ** 2
-
-    @cached_property
-    def jy_factor(self) -> np.ndarray:
-        return np.ascontiguousarray(spin_matrices(self.twice_j).jy.imag)
-
-    @cached_property
-    def jzp_diag(self) -> np.ndarray:
-        m = spin_matrices(self.twice_j).jz.diagonal().real
-        return np.add.outer(m, m).ravel()
-
-    @cached_property
-    def jzm_diag(self) -> np.ndarray:
-        m = spin_matrices(self.twice_j).jz.diagonal().real
-        return np.subtract.outer(m, m).ravel()
-
-
-def two_mode_ops(twice_j: int) -> TwoModeOps:
-    return TwoModeOps(twice_j=int(twice_j))
+def on_samples(op: np.ndarray):
+    """(op (x) 1, 1 (x) op): a per-sample operator acting on sample 1 and
+    on sample 2 of a two-sample system."""
+    eye = np.eye(op.shape[0])
+    return np.kron(op, eye), np.kron(eye, op)
 
 
 def two_mode_coherent_state(twice_j: int) -> np.ndarray:
@@ -222,6 +164,11 @@ class _LazyTriple:
         return term
 
 
+def _products(*chains):
+    """A frame attribute holding the _LazyTriple of chains, made on first read."""
+    return cached_property(lambda frame: _LazyTriple(frame, *chains))
+
+
 def _blend_quadratic(triple, c: float, s: float) -> np.ndarray:
     if s == 0.0:
         return triple[0] if abs(c) == 1.0 else (c * c) * triple[0]
@@ -238,55 +185,36 @@ class MeasurementFrame:
     on first use. Also owns the normalisations that turn raw moments into the reduced variance
     zeta = <zeta_op>/zeta_norm and polarisation chi = <X>/chi_norm.
 
-    A static frame is given its operators (zc, zs, yc, ys, x), with
-    Z = zc cos + zs sin, Y = yc cos + ys sin and X = x. A two-mode frame
-    is given its TwoModeOps instead and reads Z = (J_z^+, J_y^-),
-    Y = (J_y^+, -J_z^-) and X = J_x^+ from them on first use; it also
-    exposes their per-sample factors jy_factor, jzp_diag and jzm_diag
-    (None on static frames). zeta_weights pairs operator attribute names
-    with their weights in zeta_parts.
+    The pair is Z = _zc cos + _zs sin and Y = _yc cos + _ys sin at the
+    frame's phase. This class is the static frame of one collective spin:
+    Z = jz, Y = jy and X = jx as given, with the phase pinned at (1, 0)
+    and no sine components. TwoModeFrame rotates the pair.
+    _zeta_weights pairs operator attribute names with their weights in
+    zeta_parts.
     """
 
-    def __init__(self, mode, omega, spin_j, zeta_weights, norms, operators=None, two_mode=None):
-        if mode not in ("single", "two"):
-            raise ValueError(f"unknown frame mode {mode!r}")
-        self.mode = mode
-        self.omega = float(omega) if mode == "two" else 0.0
-        self.spin_j = float(spin_j)  # per-sample j for two samples, the spin itself otherwise
-        self.two_mode = two_mode
-        self.jy_factor = self.jzp_diag = self.jzm_diag = None
-        if two_mode is not None:
-            self.dim = two_mode.dim
-            self.jy_factor = two_mode.jy_factor
-            self.jzp_diag = two_mode.jzp_diag
-            self.jzm_diag = two_mode.jzm_diag
-        else:
-            self._zc, self._zs, self._yc, self._ys, self.x_op = operators
-            self.dim = self.x_op.shape[0]
-        self._zeta_weights = zeta_weights
-        self.zeta_norm, self.chi_norm = norms
+    mode = "single"
+    omega = 0.0
+    _zs = _ys = None  # no sine components
+    _zeta_weights = (("_zc", 2.0),)
 
-        self._zz = _LazyTriple(self, (("_zc", "_zc"),), (("_zs", "_zs"),), (("_zc", "_zs"), ("_zs", "_zc")))
-        self._yy = _LazyTriple(self, (("_yc", "_yc"),), (("_ys", "_ys"),), (("_yc", "_ys"), ("_ys", "_yc")))
-        self._zy_anti = _LazyTriple(
-            self,
-            (("_zc", "_yc"), ("_yc", "_zc")),
-            (("_zs", "_ys"), ("_ys", "_zs")),
-            (("_zc", "_ys"), ("_ys", "_zc"), ("_zs", "_yc"), ("_yc", "_zs")),
-        )
-        self._zxz = _LazyTriple(
-            self,
-            (("_zc", "x_op", "_zc"),),
-            (("_zs", "x_op", "_zs"),),
-            (("_zc", "x_op", "_zs"), ("_zs", "x_op", "_zc")),
-        )
+    def __init__(self, jx, jy, jz, twice_j):
+        self._zc, self._yc, self.x_op = jz, jy, jx
+        self.dim = jx.shape[0]
+        self.spin_j = self.zeta_norm = self.chi_norm = twice_j / 2.0
 
-    # a two-mode frame's operators; a static frame sets these in __init__
-    _zc = cached_property(lambda self: self.two_mode.jzp)
-    _zs = cached_property(lambda self: self.two_mode.jym)
-    _yc = cached_property(lambda self: self.two_mode.jyp)
-    _ys = cached_property(lambda self: -self.two_mode.jzm)
-    x_op = cached_property(lambda self: self.two_mode.jxp)
+    _zz = _products((("_zc", "_zc"),), (("_zs", "_zs"),), (("_zc", "_zs"), ("_zs", "_zc")))
+    _yy = _products((("_yc", "_yc"),), (("_ys", "_ys"),), (("_yc", "_ys"), ("_ys", "_yc")))
+    _zy_anti = _products(
+        (("_zc", "_yc"), ("_yc", "_zc")),
+        (("_zs", "_ys"), ("_ys", "_zs")),
+        (("_zc", "_ys"), ("_ys", "_zc"), ("_zs", "_yc"), ("_yc", "_zs")),
+    )
+    _zxz = _products(
+        (("_zc", "x_op", "_zc"),),
+        (("_zs", "x_op", "_zs"),),
+        (("_zc", "x_op", "_zs"), ("_zs", "x_op", "_zc")),
+    )
 
     @cached_property
     def zeta_parts(self):
@@ -304,7 +232,7 @@ class MeasurementFrame:
     @property
     def yc_op(self) -> np.ndarray:
         """Second of the slow quadrature pair; see zc_op."""
-        return self._zs if self.mode == "two" else self._yc
+        return self._yc
 
     @cached_property
     def x2_op(self) -> np.ndarray:
@@ -315,9 +243,7 @@ class MeasurementFrame:
         return sum(w * (op @ op) for op, w in self.zeta_parts)
 
     def coefficients(self, v: float):
-        if self.mode == "single":
-            return (1.0, 0.0)
-        return _quarter_phase(self.omega, v)
+        return (1.0, 0.0)
 
     def z_at(self, v: float) -> np.ndarray:
         c, s = self.coefficients(v)
@@ -341,9 +267,45 @@ class MeasurementFrame:
         return _blend_quadratic(self._zxz, *self.coefficients(v))
 
 
+class TwoModeFrame(MeasurementFrame):
+    """The rotating frame of two identical samples: Z = (J_z^+, J_y^-),
+    Y = (J_y^+, -J_z^-) and X = J_x^+, each a Kronecker sum over the
+    per-sample spin matrices in sample, built on first read. Also carries
+    the per-sample factors: J_y = i jy_factor on each sample with
+    jy_factor real (d x d, d = 2j + 1), and the diagonals jzp_diag and
+    jzm_diag of J_z^+ and J_z^-, entries m1 +- m2 in the |m1, m2> order."""
+
+    mode = "two"
+    _zeta_weights = (("_zc", 1.0), ("_zs", 1.0))
+
+    def __init__(self, twice_j, omega):
+        self.sample = spin_matrices(twice_j)
+        self.omega = float(omega)
+        self.spin_j = twice_j / 2.0  # per sample
+        self.zeta_norm = self.chi_norm = float(twice_j)
+        self.jy_factor = np.ascontiguousarray(self.sample.jy.imag)
+        m = self.sample.jz.diagonal().real
+        self.dim = m.size**2
+        self.jzp_diag = np.add.outer(m, m).ravel()
+        self.jzm_diag = np.subtract.outer(m, m).ravel()
+
+    _zc = cached_property(lambda self: np.add(*on_samples(self.sample.jz)))
+    _zs = cached_property(lambda self: np.subtract(*on_samples(self.sample.jy)))
+    _yc = cached_property(lambda self: np.add(*on_samples(self.sample.jy)))
+    _ys = cached_property(lambda self: -np.subtract(*on_samples(self.sample.jz)))
+    x_op = cached_property(lambda self: np.add(*on_samples(self.sample.jx)))
+
+    @property
+    def yc_op(self) -> np.ndarray:
+        return self._zs
+
+    def coefficients(self, v: float):
+        return _quarter_phase(self.omega, v)
+
+
 def single_mode_frame(twice_j: int) -> MeasurementFrame:
     mats = spin_matrices(twice_j)
-    return frame_from_operators(mats.jx, mats.jy, mats.jz, twice_j)
+    return MeasurementFrame(mats.jx, mats.jy, mats.jz, twice_j)
 
 
 def frame_from_operators(jx, jy, jz, twice_j_total: int) -> MeasurementFrame:
@@ -352,16 +314,7 @@ def frame_from_operators(jx, jy, jz, twice_j_total: int) -> MeasurementFrame:
     Useful when a combined system should be driven and scored as one
     collective spin, e.g. two spin-1/2 samples treated as total spin 1.
     """
-    j = twice_j_total / 2.0
-    zero = np.zeros_like(jz)
-    return MeasurementFrame(
-        mode="single",
-        omega=0.0,
-        spin_j=j,
-        zeta_weights=(("_zc", 2.0),),
-        norms=(j, j),
-        operators=(jz, zero, jy, zero, jx),
-    )
+    return MeasurementFrame(jx, jy, jz, twice_j_total)
 
 
 def two_mode_frame(twice_j: int, omega: float) -> MeasurementFrame:
@@ -372,15 +325,7 @@ def two_mode_frame(twice_j: int, omega: float) -> MeasurementFrame:
     zeta < chi witnesses entanglement between the samples. No dense
     operator is built until something reads it.
     """
-    ops = two_mode_ops(twice_j)
-    return MeasurementFrame(
-        mode="two",
-        omega=omega,
-        spin_j=twice_j / 2.0,
-        zeta_weights=(("_zc", 1.0), ("_zs", 1.0)),
-        norms=(float(twice_j), float(twice_j)),
-        two_mode=ops,
-    )
+    return TwoModeFrame(twice_j, omega)
 
 
 def expect_real(op: np.ndarray, rho: np.ndarray) -> float:

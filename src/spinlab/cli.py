@@ -62,13 +62,6 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 
 def _scenario_config(args: argparse.Namespace):
     overrides = {k: getattr(args, k, None) for k in _SCENARIO_KEYS}
-    if overrides.get("omega") is not None:
-        raw = overrides["omega"]
-        if raw != "auto":
-            try:
-                overrides["omega"] = float(raw)
-            except ValueError:
-                raise ConfigError(f"omega: not a number or 'auto': {raw!r}") from None
     if overrides.get("seed") is None:
         env = os.environ.get("SPINLAB_SEED")
         if env is not None:

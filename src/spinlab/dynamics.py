@@ -52,7 +52,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .algebra import MeasurementFrame
+from .algebra import MeasurementFrame, on_samples
 from .feedback import FeedbackScheme, GainError
 from .metrics import compute_metrics
 from .trajectory import STATUS_OK, TrajectoryRecord
@@ -115,22 +115,23 @@ class EvolutionSpec:
         return round(self.v_max / self.delta_v)
 
 
-def countertwist_hamiltonian(frame: MeasurementFrame, variant: str, strength: float = 1.0):
+def countertwist_hamiltonian(frame: MeasurementFrame, variant: str):
     """Two-axis countertwisting generator.
 
-    The cross-sample form k (J_z1 J_y2 + J_y1 J_z2) and the collective
-    form (k/2)(Jz Jy + Jy Jz) generate identical flows when two spin-1/2
-    samples are read as one spin 1; the factor of one half is what makes
-    that correspondence exact.
+    The cross-sample form J_z1 J_y2 + J_y1 J_z2 and the collective form
+    (Jz Jy + Jy Jz)/2 generate identical flows when two spin-1/2 samples
+    are read as one spin 1; the factor of one half is what makes that
+    correspondence exact.
     """
     if variant == "countertwist-two":
-        ops = frame.two_mode
-        if ops is None:
+        if frame.mode != "two":
             raise ValueError("two-sample countertwisting needs a two-mode frame")
-        return strength * (ops.jz1 @ ops.jy2 + ops.jy1 @ ops.jz2)
+        jz1, jz2 = on_samples(frame.sample.jz)
+        jy1, jy2 = on_samples(frame.sample.jy)
+        return jz1 @ jy2 + jy1 @ jz2
     if variant == "countertwist-single":
         z0, y0 = frame.z_at(0.0), frame.y_at(0.0)  # collective Jz, Jy
-        return 0.5 * strength * (z0 @ y0 + y0 @ z0)
+        return 0.5 * (z0 @ y0 + y0 @ z0)
     raise ValueError(f"unknown countertwisting variant {variant!r}")
 
 

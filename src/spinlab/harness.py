@@ -207,12 +207,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path=None, cli_overrides: dict | None = None) -> SimConfig:
-    """Defaults, then config file, then CLI values; later layers win."""
+    """Defaults, then config file, then CLI values; later layers win. A
+    CLI value given as a string is coerced as a config file value is."""
     merged: dict = {}
     if path is not None:
         merged.update(parse_config_text(Path(path).read_text()))
     if cli_overrides:
-        merged.update({k: v for k, v in cli_overrides.items() if v is not None})
+        merged.update(
+            {k: _coerce(k, v) if isinstance(v, str) else v for k, v in cli_overrides.items() if v is not None}
+        )
     try:
         return SimConfig(**merged)
     except TypeError as err:

@@ -49,9 +49,10 @@ def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=Fa
     """
     raw = expect_real(frame.zeta_op, rho)
     chi = expect_real(frame.x_op, rho) / frame.chi_norm
-    zc = expect_real(frame.zc_op, rho)
-    yc = expect_real(frame.yc_op, rho)
+    zc = yc = None
     if conditioned:
+        zc = expect_real(frame.zc_op, rho)
+        yc = expect_real(frame.yc_op, rho)
         for op, w in frame.zeta_parts:
             raw -= w * expect_real(op, rho) ** 2
     zeta = raw / frame.zeta_norm
@@ -66,8 +67,8 @@ def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=Fa
         xi2=squeezing_xi2(zeta, chi),
         entangled=bool(zeta < chi),
         mz2=mz2,
-        zc_mean=zc if conditioned else None,
-        yc_mean=yc if conditioned else None,
+        zc_mean=zc,
+        yc_mean=yc,
     )
 
 
@@ -131,8 +132,6 @@ def min_squeezing_sweep(
     scheme: str,
     delta_v: float = 1e-3,
     v_max: float = 20.0,
-    record_stride: int = 1,
-    clamp: float = 1e3,
 ):
     """Best squeezing per spin for one production scheme.
 
@@ -166,10 +165,7 @@ def min_squeezing_sweep(
                 SweepPoint(mode, twice_j, scheme, best.xi2, math.nan, (j + 1) * best.xi2, "ok", True)
             )
             continue
-        config = SimConfig(
-            mode=mode, twice_j=twice_j, scheme=scheme, delta_v=delta_v, v_max=v_max,
-            stride=record_stride, clamp=clamp,
-        )
+        config = SimConfig(mode=mode, twice_j=twice_j, scheme=scheme, delta_v=delta_v, v_max=v_max)
         zeta_floor = ZETA_RESOLUTION_STEPS * delta_v
         record = dynamics.evolve(
             config.initial_state(), config.spec(), config.controller(), zeta_floor=zeta_floor

@@ -85,10 +85,10 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam: float, delta_v
         y2 = frame.y2_at(v)
         kick = lam * dy
         u = -1j * kick * y - 0.5 * kick * kick * y2
-        u[np.diag_indices_from(u)] += 1.0
+        u.flat[:: u.shape[0] + 1] += 1.0
         mid = u @ mid @ u.conj().T
 
-    trace = np.trace(mid).real
+    trace = mid.trace().real
     if math.isfinite(trace) and TRACE_WINDOW[0] < trace < TRACE_WINDOW[1]:
         mid /= trace
     out = 0.5 * (mid + mid.conj().T)

@@ -18,7 +18,6 @@ from spinlab.algebra import (
     single_mode_frame,
     spin_matrices,
     two_mode_frame,
-    two_mode_ops,
 )
 from spinlab.dynamics import (
     EvolutionSpec,
@@ -162,9 +161,10 @@ def test_criterion_02_spin1_closed_forms(spin1_runs):
 
 def test_criterion_03_spin_half_pair_equivalence(spin1_runs):
     # two spin-1/2 samples against the same flow read as one collective spin 1
-    ops = two_mode_ops(1)
+    m, eye = spin_matrices(1), np.eye(2)
+    jxp, jyp, jzp = (np.kron(op, eye) + np.kron(eye, op) for op in (m.jx, m.jy, m.jz))
     paired = two_mode_frame(1, omega=math.pi / 0.002)
-    merged = frame_from_operators(ops.jxp, ops.jyp, ops.jzp, 2)
+    merged = frame_from_operators(jxp, jyp, jzp, 2)
     h_pair = countertwist_hamiltonian(paired, "countertwist-two")
     h_merged = countertwist_hamiltonian(merged, "countertwist-single")
     h_gap = float(np.abs(h_pair - h_merged).max())

@@ -15,7 +15,6 @@ from spinlab.algebra import (
     spin_matrices,
     two_mode_coherent_state,
     two_mode_frame,
-    two_mode_ops,
 )
 
 SPINS = (1, 2, 10, 20)  # twice_j: j = 1/2, 1, 5, 10
@@ -91,54 +90,74 @@ def test_coherent_state_transverse_variances(twice_j):
     assert expect_real(m.jz, rho) == pytest.approx(0.0, abs=1e-12)
 
 
+def kron_ops(twice_j):
+    """Independent two-sample references: each per-sample matrix on
+    sample 1 and on sample 2, e.g. ops["jz1"], ops["jy2"]."""
+    eye = np.eye(twice_j + 1)
+    m = spin_matrices(twice_j)
+    ops = {}
+    for name in ("jx", "jy", "jz"):
+        op = getattr(m, name)
+        ops[name + "1"], ops[name + "2"] = np.kron(op, eye), np.kron(eye, op)
+    return ops
+
+
 def test_two_mode_ops_structure():
-    ops = two_mode_ops(2)
-    assert ops.dim == 9
-    assert np.allclose(ops.jzp, ops.jz1 + ops.jz2)
-    assert np.allclose(ops.jym, ops.jy1 - ops.jy2)
+    ops = kron_ops(2)
+    fr = two_mode_frame(2, omega=1.0)
+    assert fr.dim == 9
+    assert np.array_equal(fr.z_at(0.0), ops["jz1"] + ops["jz2"])
+    assert np.array_equal(fr.y_at(0.0), ops["jy1"] + ops["jy2"])
+    assert np.array_equal(fr.zc_op, ops["jz1"] + ops["jz2"])
+    assert np.array_equal(fr.yc_op, ops["jy1"] - ops["jy2"])
+    assert np.array_equal(fr.x_op, ops["jx1"] + ops["jx2"])
     # operators on different samples commute
-    assert np.abs(comm(ops.jz1, ops.jy2)).max() == 0.0
-    assert np.abs(comm(ops.jx1, ops.jx2)).max() == 0.0
+    assert np.abs(comm(ops["jz1"], ops["jy2"])).max() == 0.0
+    assert np.abs(comm(ops["jx1"], ops["jx2"])).max() == 0.0
 
 
 @pytest.mark.parametrize("twice_j", (1, 2, 5))
 def test_two_mode_per_sample_factors_are_exact(twice_j):
-    ops = two_mode_ops(twice_j)
-    assert ops.jy_factor.dtype == float
-    assert np.array_equal(1j * ops.jy_factor, spin_matrices(twice_j).jy)
-    assert np.array_equal(ops.jzp_diag, ops.jzp.diagonal().real)
-    assert np.array_equal(ops.jzm_diag, ops.jzm.diagonal().real)
-    assert np.count_nonzero(ops.jzp - np.diag(ops.jzp.diagonal())) == 0
+    ops = kron_ops(twice_j)
     fr = two_mode_frame(twice_j, omega=1.0)
-    assert fr.jy_factor is fr.two_mode.jy_factor
-    assert single_mode_frame(twice_j).jy_factor is None
+    jzp, jzm = ops["jz1"] + ops["jz2"], ops["jz1"] - ops["jz2"]
+    assert fr.jy_factor.dtype == float
+    assert np.array_equal(1j * fr.jy_factor, spin_matrices(twice_j).jy)
+    assert np.array_equal(fr.jzp_diag, jzp.diagonal().real)
+    assert np.array_equal(fr.jzm_diag, jzm.diagonal().real)
+    assert np.count_nonzero(jzp - np.diag(jzp.diagonal())) == 0
+    assert not hasattr(single_mode_frame(twice_j), "jy_factor")
 
 
 def test_two_mode_frame_builds_operators_on_first_read():
     import pickle
 
     fr = two_mode_frame(2, omega=1.0)
+    dense = {"_zc", "_zs", "_yc", "_ys", "x_op"}
     assert fr.dim == 9
-    assert not {"jzp", "jym", "jyp", "jzm", "jxp"} & set(vars(fr.two_mode))
+    assert not dense & set(vars(fr))
+    unbuilt = pickle.loads(pickle.dumps(fr))
     z = fr.z_at(0.3)  # reads both rotating components
-    assert {"jzp", "jym"} <= set(vars(fr.two_mode))
-    assert "jyp" not in vars(fr.two_mode)
-    copy = pickle.loads(pickle.dumps(fr))
-    assert np.array_equal(copy.z_at(0.3), z)
-    assert np.array_equal(copy.y_at(0.3), fr.y_at(0.3))
+    assert dense & set(vars(fr)) == {"_zc", "_zs"}
+    built = pickle.loads(pickle.dumps(fr))
+    for copy in (unbuilt, built):
+        assert np.array_equal(copy.z_at(0.3), z)
+        assert np.array_equal(copy.y_at(0.3), fr.y_at(0.3))
 
 
 def test_two_mode_coherent_state_moments():
     tj = 4
     j = tj / 2.0
-    ops = two_mode_ops(tj)
+    ops = kron_ops(tj)
+    jzp, jym = ops["jz1"] + ops["jz2"], ops["jy1"] - ops["jy2"]
+    jxm = ops["jx1"] - ops["jx2"]
     vec = two_mode_coherent_state(tj)
     rho = np.outer(vec, vec.conj())
-    assert expect_real(ops.jxp, rho) == pytest.approx(2 * j, abs=1e-12)
-    assert expect_real(ops.jzp @ ops.jzp, rho) == pytest.approx(j, abs=1e-12)
-    assert expect_real(ops.jym @ ops.jym, rho) == pytest.approx(j, abs=1e-12)
+    assert expect_real(ops["jx1"] + ops["jx2"], rho) == pytest.approx(2 * j, abs=1e-12)
+    assert expect_real(jzp @ jzp, rho) == pytest.approx(j, abs=1e-12)
+    assert expect_real(jym @ jym, rho) == pytest.approx(j, abs=1e-12)
     # sharp relative x polarisation
-    assert expect_real(ops.jxm @ ops.jxm, rho) == pytest.approx(0.0, abs=1e-12)
+    assert expect_real(jxm @ jxm, rho) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("twice_j", (1, 2, 20))
@@ -154,9 +173,9 @@ def test_auto_omega_steps_land_on_exact_nodes():
     fr = two_mode_frame(2, omega=math.pi / (2 * dv))
     seen = [fr.coefficients(n * dv) for n in range(8)]
     assert seen == [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)] * 2
-    ops = fr.two_mode
-    assert np.abs(fr.z_at(dv) - ops.jym).max() == 0.0
-    assert np.abs(fr.y_at(dv) + ops.jzm).max() == 0.0
+    ops = kron_ops(2)
+    assert np.abs(fr.z_at(dv) - (ops["jy1"] - ops["jy2"])).max() == 0.0
+    assert np.abs(fr.y_at(dv) + (ops["jz1"] - ops["jz2"])).max() == 0.0
 
 
 def test_generic_phase_coefficients_are_trig():
@@ -192,18 +211,20 @@ def test_single_mode_frame_is_static():
 def test_two_mode_frame_norms_and_zeta_op():
     tj = 4
     fr = two_mode_frame(tj, omega=1.0)
-    ops = fr.two_mode
+    ops = kron_ops(tj)
+    jzp, jym = ops["jz1"] + ops["jz2"], ops["jy1"] - ops["jy2"]
     assert fr.zeta_norm == fr.chi_norm == float(tj)
-    assert np.allclose(fr.zeta_op, ops.jzp @ ops.jzp + ops.jym @ ops.jym)
+    assert np.allclose(fr.zeta_op, jzp @ jzp + jym @ jym)
     assert fr.spin_j == tj / 2.0
 
 
 def test_frame_from_operators_embeds_total_spin():
-    ops = two_mode_ops(1)
-    fr = frame_from_operators(ops.jxp, ops.jyp, ops.jzp, twice_j_total=2)
+    ops = kron_ops(1)
+    jzp = ops["jz1"] + ops["jz2"]
+    fr = frame_from_operators(ops["jx1"] + ops["jx2"], ops["jy1"] + ops["jy2"], jzp, twice_j_total=2)
     assert fr.mode == "single"
     assert fr.dim == 4
-    assert np.abs(fr.z_at(0.3) - ops.jzp).max() == 0.0
+    assert np.abs(fr.z_at(0.3) - jzp).max() == 0.0
     assert fr.spin_j == 1.0
 
 

@@ -50,3 +50,8 @@ def test_one_module_owns_the_process_pool():
         )
     ]
     assert len(owners) == 1, owners
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in spinlab.__all__ if not hasattr(spinlab, name)]
+    assert not missing
