@@ -245,26 +245,25 @@ class MeasurementFrame:
     def coefficients(self, v: float):
         return (1.0, 0.0)
 
+    # the static frame's reads skip the phase: each is its constant
     def z_at(self, v: float) -> np.ndarray:
-        c, s = self.coefficients(v)
-        return _blend_linear(self._zc, self._zs, c, s)
+        return self._zc
 
     def y_at(self, v: float) -> np.ndarray:
-        c, s = self.coefficients(v)
-        return _blend_linear(self._yc, self._ys, c, s)
+        return self._yc
 
     def z2_at(self, v: float) -> np.ndarray:
-        return _blend_quadratic(self._zz, *self.coefficients(v))
+        return self._zz[0]
 
     def y2_at(self, v: float) -> np.ndarray:
-        return _blend_quadratic(self._yy, *self.coefficients(v))
+        return self._yy[0]
 
     def zy_anti_at(self, v: float) -> np.ndarray:
         """ZY + YZ at time v."""
-        return _blend_quadratic(self._zy_anti, *self.coefficients(v))
+        return self._zy_anti[0]
 
     def zxz_at(self, v: float) -> np.ndarray:
-        return _blend_quadratic(self._zxz, *self.coefficients(v))
+        return self._zxz[0]
 
 
 class TwoModeFrame(MeasurementFrame):
@@ -302,6 +301,27 @@ class TwoModeFrame(MeasurementFrame):
     def coefficients(self, v: float):
         return _quarter_phase(self.omega, v)
 
+    def z_at(self, v: float) -> np.ndarray:
+        c, s = self.coefficients(v)
+        return _blend_linear(self._zc, self._zs, c, s)
+
+    def y_at(self, v: float) -> np.ndarray:
+        c, s = self.coefficients(v)
+        return _blend_linear(self._yc, self._ys, c, s)
+
+    def z2_at(self, v: float) -> np.ndarray:
+        return _blend_quadratic(self._zz, *self.coefficients(v))
+
+    def y2_at(self, v: float) -> np.ndarray:
+        return _blend_quadratic(self._yy, *self.coefficients(v))
+
+    def zy_anti_at(self, v: float) -> np.ndarray:
+        """ZY + YZ at time v."""
+        return _blend_quadratic(self._zy_anti, *self.coefficients(v))
+
+    def zxz_at(self, v: float) -> np.ndarray:
+        return _blend_quadratic(self._zxz, *self.coefficients(v))
+
 
 def single_mode_frame(twice_j: int) -> MeasurementFrame:
     mats = spin_matrices(twice_j)
@@ -328,6 +348,14 @@ def two_mode_frame(twice_j: int, omega: float) -> MeasurementFrame:
     return TwoModeFrame(twice_j, omega)
 
 
-def expect_real(op: np.ndarray, rho: np.ndarray) -> float:
-    """Tr[op rho] for Hermitian op and rho (imag part is rounding noise)."""
-    return float(np.vdot(rho, op).real)
+def expect_real(op: np.ndarray, rho: np.ndarray):
+    """Tr[op rho] for Hermitian op and rho (imag part is rounding noise).
+
+    rho is one n x n state or a (B, n, n) stack. The result is a float for
+    one state, a stack of one included, and a (B,) array for a larger
+    stack, each member's value bit for bit the one np.vdot gives for that
+    state alone.
+    """
+    if rho.size == op.size:
+        return float(np.vdot(rho, op).real)
+    return np.vecdot(rho.reshape(len(rho), -1), op.reshape(-1)).real

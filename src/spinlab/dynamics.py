@@ -16,8 +16,10 @@ renormalisation.
 Every run, record-averaged here or record-conditioned in ``stochastic``,
 goes through one step loop, ``integrate``: it checks the trace, asks the
 gain law for the gain, records strided metrics rows, audits positivity,
-and ends the run with a defined status. What differs between runs is
-only the step it is handed:
+and ends the run with a defined status. It steps a stack of runs at
+once, a deterministic run being a stack of one and a batch of
+conditioned trajectories a stack of many, and ends each run with its own
+status. What differs between runs is only the step it is handed:
 
 * When each step spans exactly a quarter frame period (two samples,
   omega delta_v = pi/2, the default ``omega = "auto"``), consecutive
@@ -48,13 +50,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .algebra import MeasurementFrame, on_samples
 from .feedback import FeedbackScheme, GainError
-from .metrics import compute_metrics
+from .metrics import PLAIN_COLUMNS, compute_metrics
 from .trajectory import STATUS_OK, TrajectoryRecord
 
 log = logging.getLogger(__name__)
@@ -287,111 +288,170 @@ def countertwisting_step(rho, propagator):
     return 0.5 * (out + out.conj().T)
 
 
-_RECORD_COLUMNS = ("v", "zeta", "chi", "purity", "lam", "xi2", "entangled", "mz2")
+def _kept(lam, keep):
+    """The gains of the members kept: lam is one gain for all or one each."""
+    return lam[keep] if isinstance(lam, np.ndarray) else lam
 
 
 def integrate(
-    rho0, spec: EvolutionSpec, controller, step, metrics, columns, meta: dict,
+    rho0, spec: EvolutionSpec, controller, step, metrics, columns, metas: list[dict],
     *, nodes: bool = False, window=None, zeta_floor: float | None = None,
-) -> TrajectoryRecord:
+) -> list[TrajectoryRecord]:
     """The step loop every run shares, averaged or conditioned.
 
-    Each of the n_steps + 1 iterations checks the state's trace, takes
-    the controller's gain at v (at the node times (v, v + delta_v) when
-    nodes is set), records metrics(rho, frame, v=, lam=) as the named
-    columns every record_stride steps, audits positivity every
-    audit_stride steps, and then calls step(rho, v, lam) for the next
-    state and its trace before renormalisation (None if it does not
-    renormalise). So a clean run yields n_steps // record_stride + 1
-    rows, and the final time appears whenever the stride divides the
-    step count.
+    It integrates len(metas) runs from the same n x n state rho0 as one
+    (B, n, n) stack and returns one record per run, its meta extended by
+    that run's entry of metas. Each of the n_steps + 1 iterations checks
+    every live state's trace, makes one gain call for the whole live stack
+    at v (at the node times (v, v + delta_v) when nodes is set), records
+    metrics(rho, frame, v=, lam=) as the named columns every record_stride
+    steps into one table preallocated for the batch, audits positivity
+    every audit_stride steps, and then calls step(rho, v, lam, live) for
+    the next stack and each state's trace before renormalisation (None if
+    the step does not renormalise). lam is what the controller returned:
+    one gain per member, or one for all of them. live indexes the stack's
+    members among the runs (a slice until one ends), so a step can keep
+    per-run state such as noise. A clean run yields
+    n_steps // record_stride + 1 rows, and the final time appears
+    whenever the stride divides the step count.
+
+    Each run keeps its own status through a mask over the stack: a run
+    that fails a check leaves the stack with its status, stops stepping
+    and keeps the rows recorded so far, while the others go on. Every
+    member's numbers are bit for bit those of the run integrated alone.
+    evolve and trajectory_run are the B = 1 callers; run_trajectories
+    hands the loop whole batches.
 
     Without a window the steps keep the trace: a state whose trace is
-    off by more than TRACE_TOL ends the run, and max_trace_drift is the
+    off by more than TRACE_TOL ends its run, and max_trace_drift is the
     largest |trace - 1| of a state. With a (low, high) window the steps
     renormalise: a raw trace outside it ends the run, and max_trace_drift
     is the largest raw |trace - 1|. A non-finite trace, moment or gain
-    also ends the run, keeping the rows recorded so far. Positivity is
-    logged and recorded, never repaired. With zeta_floor set, the run
-    ends, status ok, at the first recorded row whose zeta is not above
-    it; that row is kept. meta extends the record's meta.
+    also ends the run. Positivity is logged and recorded, never repaired.
+    With zeta_floor set, a run ends, status ok, at the first recorded row
+    whose zeta is not above it; that row is kept.
     """
     frame, dv = spec.frame, spec.delta_v
     if rho0.shape != (frame.dim, frame.dim):
         raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
-    rho = np.array(rho0, dtype=complex)
+    size = len(metas)
+    rho = np.empty((size,) + rho0.shape, dtype=complex)
+    rho[:] = rho0
     controller = controller or FeedbackScheme("none")
-    pick = attrgetter(*columns)
-    rows = []
-    status, abort_v, abort_reason = STATUS_OK, None, ""
-    clamp_events = 0
-    min_eig_floor = 0.0
-    max_drift = 0.0
+    table = np.empty((size, len(columns), spec.n_steps // spec.record_stride + 1))
+    zeta_at = columns.index("zeta")
+    shared = {
+        "mode": frame.mode,
+        "generator": spec.generator,
+        "delta_v": dv,
+        "v_max": spec.v_max,
+        "omega": frame.omega,
+        "scheme": controller.kind,
+    }
+    records = [None] * size
+    # the runs still stepping, and their diagnostics, in stack order; the
+    # per-step checks read floats, which on a small stack beats array calls
+    live = np.arange(size)
+    members = slice(None)
+    clamp_events = np.zeros(size, dtype=int)
+    min_eig_floor = np.zeros(size)
+    max_drift = [0.0] * size
+    n_rows = 0
+
+    def finish(k, status=STATUS_OK, abort_v=None, abort_reason=""):
+        run = live[k]
+        records[run] = TrajectoryRecord(
+            meta={**shared, **metas[run]},
+            columns={name: table[run, i, :n_rows] for i, name in enumerate(columns)},
+            status=status,
+            abort_v=abort_v,
+            abort_reason=abort_reason,
+            clamp_events=int(clamp_events[k]),
+            min_eig_floor=float(min_eig_floor[k]),
+            max_trace_drift=max_drift[k],
+        )
+
+    def end(ends: dict):
+        """Finish the members {stack position: (status, abort_v, reason)}
+        and drop them from the stack; returns the mask of those kept."""
+        nonlocal rho, live, members, clamp_events, min_eig_floor, max_drift
+        for k, why in ends.items():
+            finish(k, *why)
+        keep = np.ones(len(live), dtype=bool)
+        keep[list(ends)] = False
+        rho, live, clamp_events, min_eig_floor = (a[keep] for a in (rho, live, clamp_events, min_eig_floor))
+        max_drift = [m for m, kept in zip(max_drift, keep) if kept]
+        members = live
+        return keep
 
     for n in range(spec.n_steps + 1):
         v = n * dv
-        trace = rho.trace().real
-        drift = abs(trace - 1.0)
+        trace = rho.trace(axis1=1, axis2=2).real.tolist()
+        drift = [abs(x - 1.0) for x in trace]
         if window is None:
-            max_drift = max(max_drift, drift)
-        if not math.isfinite(trace):
-            status, abort_v, abort_reason = "aborted-nonfinite", v, "non-finite trace"
-            break
-        if drift > TRACE_TOL:
-            status, abort_v, abort_reason = "aborted-trace", v, f"trace drift {drift:.3e}"
-            break
+            max_drift = list(map(max, max_drift, drift))
+        if not all(d <= TRACE_TOL for d in drift):  # NaN fails this too
+            end({
+                k: ("aborted-trace", v, f"trace drift {d:.3e}")
+                if math.isfinite(x) else ("aborted-nonfinite", v, "non-finite trace")
+                for k, (x, d) in enumerate(zip(trace, drift)) if not d <= TRACE_TOL
+            })
+            if not live.size:
+                break
+        t = (v, v + dv) if nodes else v
         try:
-            lam, clamped = controller.gain(rho, frame, (v, v + dv) if nodes else v)
+            lam, clamped = controller.gain(rho, frame, t)
         except GainError as err:
-            status, abort_v, abort_reason = "aborted-gain", v, str(err)
-            break
-        if clamped:
-            if clamp_events == 0:
-                log.warning("gain clamped to %.3g at v=%.4f", lam, v)
-            clamp_events += 1
+            failed = err.members or dict.fromkeys(range(live.size), str(err))
+            end({k: ("aborted-gain", v, reason) for k, reason in failed.items()})
+            if not live.size:
+                break
+            lam, clamped = controller.gain(rho, frame, t)
+        if clamped is not False:
+            hits = np.broadcast_to(np.asarray(clamped, dtype=bool), live.shape)
+            for k in np.flatnonzero(hits & (clamp_events == 0)):
+                log.warning("gain clamped to %.3g at v=%.4f", np.broadcast_to(lam, live.shape)[k], v)
+            clamp_events += hits
         if n % spec.record_stride == 0:
-            row = metrics(rho, frame, v=v, lam=lam)
-            if not math.isfinite(row.zeta):
-                status, abort_v, abort_reason = "aborted-nonfinite", v, "non-finite moments"
-                break
-            rows.append(pick(row))
-            if zeta_floor is not None and not row.zeta > zeta_floor:
-                break
+            values = metrics(rho, frame, v=v, lam=lam).values
+            table[members, :, n_rows] = values.T
+            zeta = values[zeta_at].tolist()
+            if not all(map(math.isfinite, zeta)):
+                keep = end({
+                    k: ("aborted-nonfinite", v, "non-finite moments")
+                    for k, z in enumerate(zeta) if not math.isfinite(z)
+                })
+                lam, zeta = _kept(lam, keep), [z for z in zeta if math.isfinite(z)]
+                if not live.size:
+                    break
+            n_rows += 1
+            if zeta_floor is not None and not all(z > zeta_floor for z in zeta):
+                lam = _kept(lam, end({k: (STATUS_OK,) for k, z in enumerate(zeta) if not z > zeta_floor}))
+                if not live.size:
+                    break
         if spec.audit_stride and n % spec.audit_stride == 0:
-            low = float(np.linalg.eigvalsh(rho)[0])
-            if low < EIG_FLOOR and min_eig_floor >= EIG_FLOOR:
-                # warn once; the worst excursion lands in min_eig_floor
-                log.warning("state eigenvalue %.3e below floor at v=%.4f", low, v)
-            min_eig_floor = min(min_eig_floor, low)
+            low = np.linalg.eigvalsh(rho)[:, 0]
+            for k in np.flatnonzero((low < EIG_FLOOR) & (min_eig_floor >= EIG_FLOOR)):
+                # warn once per run; the worst excursion lands in min_eig_floor
+                log.warning("state eigenvalue %.3e below floor at v=%.4f", low[k], v)
+            np.fmin(min_eig_floor, low, out=min_eig_floor)
         if n == spec.n_steps:
             break
-        rho, raw = step(rho, v, lam)
+        rho, raw = step(rho, v, lam, members)
         if window is not None:
-            max_drift = max(max_drift, abs(raw - 1.0))
-            if not window[0] < raw < window[1]:
-                status, abort_v = "aborted-norm", v + dv
-                abort_reason = f"trace {raw:.3e} outside renormalisation window"
-                break
+            raw = raw.tolist()
+            max_drift = list(map(max, max_drift, [abs(x - 1.0) for x in raw]))
+            if not all(window[0] < x < window[1] for x in raw):
+                end({
+                    k: ("aborted-norm", v + dv, f"trace {x:.3e} outside renormalisation window")
+                    for k, x in enumerate(raw) if not window[0] < x < window[1]
+                })
+                if not live.size:
+                    break
 
-    table = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
-    return TrajectoryRecord(
-        meta={
-            "mode": frame.mode,
-            "generator": spec.generator,
-            "delta_v": dv,
-            "v_max": spec.v_max,
-            "omega": frame.omega,
-            "scheme": controller.kind,
-            **meta,
-        },
-        columns={name: table[:, i].copy() for i, name in enumerate(columns)},
-        status=status,
-        abort_v=abort_v,
-        abort_reason=abort_reason,
-        clamp_events=clamp_events,
-        min_eig_floor=min_eig_floor,
-        max_trace_drift=max_drift,
-    )
+    for k in range(live.size):
+        finish(k)
+    return records
 
 
 def evolve(
@@ -404,8 +464,8 @@ def evolve(
     if spec.generator != "feedback":
         propagator = countertwist_propagator(countertwist_hamiltonian(frame, spec.generator), dv)
 
-        def step(rho, v, lam):
-            return countertwisting_step(rho, propagator), None
+        def advance(rho, v, lam):
+            return countertwisting_step(rho, propagator)
 
     elif averaged:
         # the averaged steps keep Hermiticity exactly, so it is imposed once
@@ -413,7 +473,7 @@ def evolve(
         last_rate = None  # the previous averaged rate, for Adams-Bashforth
         scratch = {}
 
-        def step(rho, v, lam):
+        def advance(rho, v, lam):
             nonlocal last_rate
             rate = averaged_rate(frame, rho, lam, scratch)
             combined = rate
@@ -423,14 +483,18 @@ def evolve(
                 np.multiply(1.5, rate, out=combined)
                 combined -= np.multiply(0.5, last_rate, out=half_last)
             last_rate = rate
-            return unconditioned_step(rho, frame, v, lam, dv, rate=combined), None
+            return unconditioned_step(rho, frame, v, lam, dv, rate=combined)
 
     else:
 
-        def step(rho, v, lam):
-            return unconditioned_step(rho, frame, v, lam, dv), None
+        def advance(rho, v, lam):
+            return unconditioned_step(rho, frame, v, lam, dv)
+
+    def step(rho, v, lam, live):
+        # a deterministic run is a stack of one state
+        return advance(rho[0], v, float(lam[0] if isinstance(lam, np.ndarray) else lam))[None], None
 
     return integrate(
-        rho0, spec, controller, step, compute_metrics, _RECORD_COLUMNS, {"conditioned": False},
+        rho0, spec, controller, step, compute_metrics, PLAIN_COLUMNS, [{"conditioned": False}],
         nodes=averaged, zeta_floor=zeta_floor,
-    )
+    )[0]

@@ -12,12 +12,19 @@ to the measurement record; the laws below choose the proportionality:
                      against the polarisation at every instant
 * spin1-analytic     1/sqrt(2 exp(v) - 1), the closed form the simple
                      ratio takes on the exactly-solvable spin-1 flow
+
+The state-dependent laws read one n x n state or a (B, n, n) stack of
+them; on a stack they return one gain per member, each bit for bit the
+gain that member alone would get. The schedules return one float either
+way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import MeasurementFrame, expect_real
 
@@ -27,7 +34,22 @@ SCHEME_KINDS = ("none", "simple", "simple-conditioned", "analytic", "optimal", "
 
 
 class GainError(RuntimeError):
-    """A gain law looked at moments it cannot turn into a finite gain."""
+    """A gain law looked at moments it cannot turn into a finite gain.
+
+    members maps the position of each failed member of a stack to its
+    reason; None when the error is not tied to particular members.
+    """
+
+    def __init__(self, message: str, members: dict | None = None):
+        super().__init__(message)
+        self.members = members
+
+
+class ClampFlags(np.ndarray):
+    """Which members of a stack had their gain clamped; int() counts them."""
+
+    def __int__(self):
+        return int(np.count_nonzero(self))
 
 
 def _node_mean(moment, v) -> float:
@@ -35,6 +57,17 @@ def _node_mean(moment, v) -> float:
     if isinstance(v, tuple):
         return sum(moment(t) for t in v) / len(v)
     return moment(v)
+
+
+def _ratio(num, mx):
+    """num / mx, and infinity wherever mx == 0: the simple laws diverge as
+    the spin depolarises."""
+    if not isinstance(mx, np.ndarray):
+        return math.inf if mx == 0.0 else num / mx
+    if mx.all():
+        return num / mx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mx == 0.0, math.inf, num / mx)
 
 
 def moment_block(rho, frame: MeasurementFrame, v):
@@ -51,10 +84,7 @@ def lambda_simple(rho, frame: MeasurementFrame, v) -> float:
     """Measured second moment over polarisation; diverges as the spin
     depolarises."""
     mz2 = _node_mean(lambda t: expect_real(frame.z2_at(t), rho), v)
-    mx = expect_real(frame.x_op, rho)
-    if mx == 0.0:
-        return math.inf
-    return 2.0 * mz2 / mx
+    return _ratio(2.0 * mz2, expect_real(frame.x_op, rho))
 
 
 def _conditional_variance(rho, frame: MeasurementFrame, t: float) -> float:
@@ -66,10 +96,7 @@ def lambda_simple_conditioned(rho, frame: MeasurementFrame, v) -> float:
     """Conditional-variance form: on a conditioned state the regulated
     mean carries no squeezing information, so it is subtracted."""
     var = _node_mean(lambda t: _conditional_variance(rho, frame, t), v)
-    mx = expect_real(frame.x_op, rho)
-    if mx == 0.0:
-        return math.inf
-    return 2.0 * var / mx
+    return _ratio(2.0 * var, expect_real(frame.x_op, rho))
 
 
 def lambda_analytic(v: float, spin_j: float, mode: str) -> float:
@@ -86,18 +113,31 @@ def lambda_optimal(rho, frame: MeasurementFrame, v) -> float:
 
     Written with the discriminant in the numerator's conjugate so the
     expression stays finite when f e - d g crosses zero (there it reduces
-    to e/(2d)).
+    to e/(2d)). On a stack, GainError names every member that has no gain.
     """
     d, e, f, g = moment_block(rho, frame, v)
-    disc = (f * d) ** 2 + e * f * (f * e - d * g)
-    if disc < 0.0:
-        raise GainError(
-            f"no real stationary gain: d={d:.6g} e={e:.6g} f={f:.6g} g={g:.6g} disc={disc:.6g}"
-        )
-    denom = f * d + math.sqrt(disc)
-    if denom == 0.0:
-        raise GainError(f"degenerate gain denominator: d={d:.6g} e={e:.6g} f={f:.6g} g={g:.6g}")
-    return e * f / denom
+    # float_power is C pow, as Python's float ** is; a square can round
+    # differently from it in the last bit
+    disc = np.float_power(f * d, 2.0) + e * f * (f * e - d * g)
+    no_root = disc < 0.0
+    denom = f * d + np.sqrt(np.maximum(disc, 0.0))
+    degenerate = (denom == 0.0) & ~no_root
+    if np.any(no_root | degenerate):
+        members = _reasons(no_root, "no real stationary gain: d={:.6g} e={:.6g} f={:.6g} g={:.6g} disc={:.6g}",
+                           d, e, f, g, disc)
+        members.update(_reasons(degenerate, "degenerate gain denominator: d={:.6g} e={:.6g} f={:.6g} g={:.6g}",
+                                d, e, f, g))
+        members = dict(sorted(members.items()))
+        raise GainError(next(iter(members.values())), members)
+    lam = e * f / denom
+    return lam if isinstance(lam, np.ndarray) else float(lam)
+
+
+def _reasons(failed, message: str, *values) -> dict:
+    """{member: message formatted with that member's values} for each
+    member where failed holds; one state counts as member 0."""
+    columns = [np.atleast_1d(x) for x in values]
+    return {int(k): message.format(*(c[k] for c in columns)) for k in np.flatnonzero(failed)}
 
 
 def locus_slope(lam: float, moments) -> float:
@@ -126,6 +166,10 @@ class FeedbackScheme:
         v may also be a tuple of frame-node times, the current time
         first: the state-dependent laws then read the mean of their
         moments over those nodes, as the period-averaged generator needs.
+
+        On a stack the state-dependent laws give one gain per member.
+        clamped is then False when no member was clamped, and otherwise
+        the ClampFlags of the members that were.
         """
         if self.kind == "none":
             return 0.0, False
@@ -140,6 +184,11 @@ class FeedbackScheme:
             lam = lambda_optimal(rho, frame, v)
         else:
             lam = lambda_spin1(now)
-        if not math.isfinite(lam) or abs(lam) > self.clamp:
-            return math.copysign(self.clamp, lam), True
-        return lam, False
+        if not isinstance(lam, np.ndarray):
+            if not math.isfinite(lam) or abs(lam) > self.clamp:
+                return math.copysign(self.clamp, lam), True
+            return lam, False
+        if np.abs(lam).max() <= self.clamp:  # NaN fails this too
+            return lam, False
+        flags = ~(np.abs(lam) <= self.clamp)
+        return np.where(flags, np.copysign(self.clamp, lam), lam), flags.view(ClampFlags)

@@ -226,11 +226,20 @@ def load_config(path=None, cli_overrides: dict | None = None) -> SimConfig:
 # CSV artifacts
 
 
-def _write_csv(path, header, names, rows) -> Path:
+def _cells(column) -> list[str]:
+    """One column's CSV cells: a float array formatted in one pass, any
+    other sequence cell by cell through _fmt."""
+    if isinstance(column, np.ndarray):
+        return ["%.17g" % x for x in column.tolist()]
+    return [_fmt(x) for x in column]
+
+
+def _write_csv(path, header, names, columns) -> Path:
     """Write one artifact: the format line, the given header lines, the
-    column list, then one line of cells per row."""
+    column list, then one line of cells per row, given one sequence per
+    column."""
     lines = [f"# {CSV_FORMAT}", *header, "# columns = " + ",".join(names)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines += map(",".join, zip(*map(_cells, columns)))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -253,7 +262,7 @@ def write_trajectory_csv(record: TrajectoryRecord, config: SimConfig, path) -> P
         header.append(f"# abort-v = {_fmt(record.abort_v)}")
         header.append(f"# abort-reason = {record.abort_reason}")
     cols = [record.column(_INTERNAL_NAME.get(n, n)) for n in names]
-    return _write_csv(path, header, names, zip(*cols))
+    return _write_csv(path, header, names, cols)
 
 
 def write_ensemble_csv(ensemble: EnsembleRecord, config: SimConfig, path) -> Path:
@@ -261,16 +270,19 @@ def write_ensemble_csv(ensemble: EnsembleRecord, config: SimConfig, path) -> Pat
     names = _BASE_COLUMNS + _COND_TAIL
     header = _config_header(config) + [f"# trajectories = {ensemble.n_trajectories}"]
     cols = [ensemble.columns[_INTERNAL_NAME.get(n, n)] for n in names]
-    return _write_csv(path, header, names, zip(*cols))
+    return _write_csv(path, header, names, cols)
 
 
 def write_frontier_csv(points: list[FrontierPoint], path) -> Path:
-    return _write_csv(path, [], ("mu", "chi", "zeta"), ((p.mu, p.chi, p.zeta) for p in points))
+    columns = ([p.mu for p in points], [p.chi for p in points], [p.zeta for p in points])
+    return _write_csv(path, [], ("mu", "chi", "zeta"), columns)
 
 
 def write_sweep_csv(points: list[SweepPoint], path) -> Path:
-    rows = ((p.mode, p.scheme, str(p.twice_j), p.xi2_min, p.scaled) for p in points)
-    return _write_csv(path, [], ("mode", "scheme", "twice_j", "xi2_min", "scaled"), rows)
+    names = ("mode", "scheme", "twice_j", "xi2_min", "scaled")
+    columns = [[p.mode for p in points], [p.scheme for p in points], [str(p.twice_j) for p in points]]
+    columns += [[p.xi2_min for p in points], [p.scaled for p in points]]
+    return _write_csv(path, [], names, columns)
 
 
 def read_csv(path) -> tuple[dict, dict]:

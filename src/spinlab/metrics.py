@@ -13,35 +13,62 @@ from .algebra import MeasurementFrame, expect_real
 CHI_FLOOR = 1e-6
 
 
-@dataclass
+# the columns of a metrics row, in order; conditioned rows add the last two
+METRIC_COLUMNS = ("v", "zeta", "chi", "purity", "lam", "xi2", "entangled", "mz2", "zc_mean", "yc_mean")
+PLAIN_COLUMNS = METRIC_COLUMNS[:8]
+
+
+def _column(i: int, kind):
+    def read(row):
+        if i >= len(row.values):
+            return None
+        x = row.values[i]
+        return x.astype(kind) if isinstance(x, np.ndarray) else kind(x)
+
+    return property(read, doc=f"column {METRIC_COLUMNS[i]!r}; None if the row has no such column")
+
+
 class MetricsRow:
-    v: float
-    zeta: float
-    chi: float
-    purity: float
-    lam: float
-    xi2: float
-    entangled: bool
-    mz2: float
-    zc_mean: float | None = None
-    yc_mean: float | None = None
+    """The metrics of one state, or of each member of a stack.
+
+    values holds them as floats, values[i] being column METRIC_COLUMNS[i]:
+    shape (8,) or (10,) for one state, (8, B) or (10, B) for a stack, the
+    last two columns only for conditioned rows. A step loop copies values
+    straight into its table. Each column also reads as an attribute: a
+    float (bool for entangled) for one state, an array for a stack.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    v, zeta, chi, purity, lam, xi2 = (_column(i, float) for i in range(6))
+    entangled = _column(6, bool)
+    mz2, zc_mean, yc_mean = (_column(i, float) for i in range(7, 10))
 
 
-def squeezing_xi2(zeta: float, chi: float) -> float:
+def squeezing_xi2(zeta, chi):
     """zeta/chi^2, the squeezing parameter; NaN once chi falls below the
-    floor where the ratio stops meaning anything.
+    floor where the ratio stops meaning anything. Elementwise on arrays.
 
     zeta is a variance ratio, nonnegative in exact arithmetic; once the
     squeezing exhausts the integrator's resolution it can round below
     zero, so nonpositive values get the same NaN treatment.
     """
-    if not (chi > CHI_FLOOR) or not (zeta > 0.0):
-        return math.nan
-    return zeta / (chi * chi)
+    if not isinstance(zeta, np.ndarray):
+        if not (chi > CHI_FLOOR) or not (zeta > 0.0):
+            return math.nan
+        return zeta / (chi * chi)
+    out = np.full(np.shape(zeta), math.nan)
+    np.divide(zeta, chi * chi, out=out, where=(chi > CHI_FLOOR) & (zeta > 0.0))
+    return out
 
 
 def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=False) -> MetricsRow:
-    """Score a state against the frame's reduced variance and polarisation.
+    """Score a state, or each member of a (B, n, n) stack, against the
+    frame's reduced variance and polarisation; lam may be one gain or one
+    per member.
 
     For conditioned states the variance is taken about the conditional
     means of the slow quadratures (the means carry no squeezing
@@ -49,27 +76,24 @@ def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=Fa
     """
     raw = expect_real(frame.zeta_op, rho)
     chi = expect_real(frame.x_op, rho) / frame.chi_norm
-    zc = yc = None
+    row = np.empty((len(METRIC_COLUMNS) if conditioned else len(PLAIN_COLUMNS),) + rho.shape[:-2])
     if conditioned:
-        zc = expect_real(frame.zc_op, rho)
-        yc = expect_real(frame.yc_op, rho)
+        row[8] = expect_real(frame.zc_op, rho)
+        row[9] = expect_real(frame.yc_op, rho)
         for op, w in frame.zeta_parts:
-            raw -= w * expect_real(op, rho) ** 2
+            # float_power is C pow, as Python's float ** is; a square can
+            # round differently from it in the last bit
+            raw = raw - w * np.float_power(expect_real(op, rho), 2.0)
     zeta = raw / frame.zeta_norm
-    purity = float(np.sum(rho.real**2 + rho.imag**2))
-    mz2 = expect_real(frame.z2_at(v), rho)
-    return MetricsRow(
-        v=float(v),
-        zeta=zeta,
-        chi=chi,
-        purity=purity,
-        lam=float(lam),
-        xi2=squeezing_xi2(zeta, chi),
-        entangled=bool(zeta < chi),
-        mz2=mz2,
-        zc_mean=zc,
-        yc_mean=yc,
-    )
+    row[0] = v
+    row[1] = zeta
+    row[2] = chi
+    row[3] = np.add.reduce(rho.real**2 + rho.imag**2, axis=(-2, -1))
+    row[4] = lam
+    row[5] = squeezing_xi2(zeta, chi)
+    row[6] = zeta < chi
+    row[7] = expect_real(frame.z2_at(v), rho)
+    return MetricsRow(row)
 
 
 def parabolic_min(x, y):

@@ -17,13 +17,19 @@ tests pin down.
 Noise is one standard normal per step from a counter-based generator
 keyed on (seed, trajectory index), so trajectories are reproducible
 bit-for-bit and different controllers can be compared on identical
-noise records.
+noise records. Each trajectory draws its noise in blocks of NOISE_BLOCK
+steps, the same numbers as one draw per step.
 
-Only the step and its noise live here: the trace checks, gain, metrics
-rows, positivity audit and abort statuses come from the step loop in
-dynamics.integrate, which the deterministic runs share. fan_out is the
-package's one process fan-out; ensembles, bundled curve sets and CLI
-sweeps all go through it.
+Trajectories are stepped as a stack: conditioned_step takes one state
+or a (B, n, n) stack with one gain and one noise increment per member,
+and a batch of trajectories goes through the step loop in
+dynamics.integrate as one stack, which the deterministic runs share as
+a stack of one. The loop brings the trace checks, gain, metrics rows,
+positivity audit and per-trajectory abort statuses; every member's
+numbers are bit for bit those of the trajectory run alone. Batches hold
+up to BATCH_ELEMENTS matrix elements, so a spin-1 ensemble is one batch
+per worker. fan_out is the package's one process fan-out; ensembles,
+bundled curve sets and CLI sweeps all go through it.
 """
 
 from __future__ import annotations
@@ -37,10 +43,15 @@ import numpy as np
 from .algebra import MeasurementFrame, expect_real
 from .dynamics import EvolutionSpec, integrate
 from .feedback import FeedbackScheme
-from .metrics import compute_metrics
+from .metrics import METRIC_COLUMNS, compute_metrics
 from .trajectory import EnsembleRecord, TrajectoryRecord
 
 TRACE_WINDOW = (0.5, 2.0)
+# steps of noise each trajectory draws at a time
+NOISE_BLOCK = 512
+# matrix elements in one stack of trajectories: about 1 MiB of states, so
+# each of the step's temporaries stays small at any dimension
+BATCH_ELEMENTS = 1 << 16
 
 
 class WienerStream:
@@ -61,14 +72,25 @@ class WienerStream:
     def increment(self, delta_v: float) -> float:
         return math.sqrt(delta_v) * float(self._gen.standard_normal())
 
+    def increments(self, delta_v: float, count: int) -> np.ndarray:
+        """The next count increments, equal to count increment calls."""
+        return math.sqrt(delta_v) * self._gen.standard_normal(count)
 
-_COND_COLUMNS = (
-    "v", "zeta", "chi", "purity", "lam", "xi2", "entangled", "mz2", "zc_mean", "yc_mean",
-)
+
+def _dagger(a):
+    return a.conj().swapaxes(-1, -2)
 
 
-def conditioned_step(rho, frame: MeasurementFrame, v: float, lam: float, delta_v: float, dw: float):
-    """One stochastic step; returns (new rho, record increment, trace before renorm)."""
+def _per_state(x):
+    """A scalar per state, shaped to scale each matrix of a stack."""
+    return np.asarray(x)[..., None, None]
+
+
+def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float, dw):
+    """One stochastic step; returns (new rho, record increment, trace
+    before renorm). rho is one state or a (B, n, n) stack; lam and dw are
+    then scalars or one per member, and the record increment and trace
+    come back one per member."""
     z = frame.z_at(v)
     z2 = frame.z2_at(v)
     mz = expect_real(z, rho)
@@ -77,32 +99,38 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam: float, delta_v
     zr = z @ rho
     sandwich = zr @ z
     half = z2 @ rho
-    mid = rho + delta_v * (sandwich - 0.5 * (half + half.conj().T))
-    mid += dw * (zr + zr.conj().T - 2.0 * mz * rho)
+    mid = rho + delta_v * (sandwich - 0.5 * (half + _dagger(half)))
+    mid += _per_state(dw) * (zr + _dagger(zr) - _per_state(2.0 * mz) * rho)
 
-    if lam != 0.0:
+    fed = lam != 0.0
+    if np.any(fed):
         y = frame.y_at(v)
         y2 = frame.y2_at(v)
-        kick = lam * dy
+        kick = _per_state(lam * dy)
         u = -1j * kick * y - 0.5 * kick * kick * y2
-        u.flat[:: u.shape[0] + 1] += 1.0
-        mid = u @ mid @ u.conj().T
+        u.reshape(u.shape[:-2] + (-1,))[..., :: u.shape[-1] + 1] += 1.0
+        kicked = u @ mid @ _dagger(u)
+        mid = kicked if np.all(fed) else np.where(_per_state(fed), kicked, mid)
 
-    trace = mid.trace().real
-    if math.isfinite(trace) and TRACE_WINDOW[0] < trace < TRACE_WINDOW[1]:
-        mid /= trace
-    out = 0.5 * (mid + mid.conj().T)
+    trace = np.trace(mid, axis1=-2, axis2=-1).real
+    inside = (TRACE_WINDOW[0] < trace) & (trace < TRACE_WINDOW[1])
+    if np.all(inside):
+        mid /= _per_state(trace)
+    elif np.ndim(inside):
+        mid[inside] /= _per_state(trace[inside])
+    out = 0.5 * (mid + _dagger(mid))
     return out, dy, trace
 
 
-def trajectory_run(
+def trajectory_batch(
     rho0,
     spec: EvolutionSpec,
     controller: FeedbackScheme | None = None,
     seed: int = 0,
-    traj_index: int = 0,
-) -> TrajectoryRecord:
-    """Integrate one record-conditioned trajectory through dynamics.integrate.
+    traj_indices=(0,),
+) -> list[TrajectoryRecord]:
+    """Integrate the record-conditioned trajectories traj_indices as one
+    stack through dynamics.integrate; one record per index, in order.
 
     The recorded squeezing column is mean-subtracted (genuine
     conditional variance); the raw means of the two measured components
@@ -114,16 +142,37 @@ def trajectory_run(
     if spec.generator != "feedback":
         raise ValueError("conditioned runs support only the feedback generator")
     frame, dv = spec.frame, spec.delta_v
-    stream = WienerStream(seed, traj_index)
+    streams = [WienerStream(seed, i) for i in traj_indices]
+    runs = np.arange(len(streams))
+    noise = np.empty((len(streams), NOISE_BLOCK))
+    steps = 0
 
-    def step(rho, v, lam):
-        rho, _, trace = conditioned_step(rho, frame, v, lam, dv, stream.increment(dv))
+    def step(rho, v, lam, live):
+        nonlocal steps
+        col = steps % NOISE_BLOCK
+        if col == 0:
+            for i in runs[live]:
+                noise[i] = streams[i].increments(dv, NOISE_BLOCK)
+        steps += 1
+        rho, _, trace = conditioned_step(rho, frame, v, lam, dv, noise[live, col])
         return rho, trace
 
+    metas = [{"conditioned": True, "seed": seed, "traj_index": i} for i in traj_indices]
     return integrate(
-        rho0, spec, controller, step, partial(compute_metrics, conditioned=True), _COND_COLUMNS,
-        {"conditioned": True, "seed": seed, "traj_index": traj_index}, window=TRACE_WINDOW,
+        rho0, spec, controller, step, partial(compute_metrics, conditioned=True), METRIC_COLUMNS,
+        metas, window=TRACE_WINDOW,
     )
+
+
+def trajectory_run(
+    rho0,
+    spec: EvolutionSpec,
+    controller: FeedbackScheme | None = None,
+    seed: int = 0,
+    traj_index: int = 0,
+) -> TrajectoryRecord:
+    """Integrate one record-conditioned trajectory; see trajectory_batch."""
+    return trajectory_batch(rho0, spec, controller, seed, (traj_index,))[0]
 
 
 def fan_out(fn, tasks, jobs: int = 1) -> list:
@@ -135,11 +184,6 @@ def fan_out(fn, tasks, jobs: int = 1) -> list:
     return [fn(task) for task in tasks]
 
 
-def _one(args):
-    rho0, spec, controller, seed, idx = args
-    return trajectory_run(rho0, spec, controller, seed=seed, traj_index=idx)
-
-
 def run_trajectories(
     rho0,
     spec: EvolutionSpec,
@@ -148,10 +192,15 @@ def run_trajectories(
     n_trajectories: int = 16,
     jobs: int = 1,
 ) -> list[TrajectoryRecord]:
-    """Independent conditioned trajectories, optionally across processes."""
+    """Independent conditioned trajectories, in batches of up to
+    BATCH_ELEMENTS matrix elements and at most one batch per worker,
+    optionally across processes; records keep trajectory order."""
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
-    return fan_out(_one, [(rho0, spec, controller, seed, i) for i in range(n_trajectories)], jobs)
+    size = min(max(1, BATCH_ELEMENTS // spec.frame.dim**2), -(-n_trajectories // jobs))
+    batches = [range(i, min(i + size, n_trajectories)) for i in range(0, n_trajectories, size)]
+    run = partial(trajectory_batch, rho0, spec, controller, seed)
+    return [record for batch in fan_out(run, batches, jobs) for record in batch]
 
 
 def average_records(records: list[TrajectoryRecord]) -> EnsembleRecord:
@@ -167,7 +216,7 @@ def average_records(records: list[TrajectoryRecord]) -> EnsembleRecord:
     n_rows = min(r.n_rows for r in kept)
     columns = {}
     sem = {}
-    for name in _COND_COLUMNS:
+    for name in METRIC_COLUMNS:
         stack = np.stack([r.column(name)[:n_rows] for r in kept])
         columns[name] = stack.mean(axis=0)
         spread = stack.std(axis=0, ddof=1) if len(kept) > 1 else np.zeros(n_rows)

@@ -178,3 +178,45 @@ def test_locus_slope_formula():
     d, e, f, g = moments
     want = (lam * lam * d - lam * e) / (lam * g - f * (1 + lam * lam))
     assert locus_slope(lam, moments) == pytest.approx(want, rel=1e-14)
+
+
+def _stack_of_states(dim):
+    """Random states, plus the maximally mixed one where the simple laws diverge."""
+    return np.stack([random_density(dim, seed=s) for s in range(4)] + [np.eye(dim) / dim])
+
+
+@pytest.mark.parametrize("kind", ("none", "simple", "simple-conditioned", "analytic", "optimal", "spin1-analytic"))
+def test_stacked_gain_equals_per_state_gains(kind):
+    dv = 1e-3
+    fr = two_mode_frame(2, omega=math.pi / (2 * dv))
+    stack = _stack_of_states(fr.dim)
+    scheme = FeedbackScheme(kind, clamp=5.0)
+    for t in (0.3, (0.3, 0.3 + dv)):
+        singles, failed = [], {}
+        for k, rho in enumerate(stack):
+            try:
+                singles.append(scheme.gain(rho, fr, t))
+            except GainError as err:
+                failed[k] = str(err)
+        if failed:
+            with pytest.raises(GainError) as caught:
+                scheme.gain(stack, fr, t)
+            assert caught.value.members == failed
+            continue
+        lam, clamped = scheme.gain(stack, fr, t)
+        want = np.array([g for g, _ in singles])
+        assert np.array_equal(np.broadcast_to(lam, want.shape).view(np.uint64), want.view(np.uint64))
+        assert int(clamped) == sum(c for _, c in singles)
+        if clamped is not False and np.ndim(clamped):
+            assert list(clamped) == [c for _, c in singles]
+
+
+def test_stacked_optimal_law_names_each_failed_member():
+    fr = two_mode_frame(1, omega=1.0)
+    stack = np.stack([css_rho("two", 1), np.eye(4) / 4.0, css_rho("two", 1)])
+    with pytest.raises(GainError) as caught:
+        lambda_optimal(stack, fr, 0.0)
+    with pytest.raises(GainError) as alone:
+        lambda_optimal(stack[1], fr, 0.0)
+    assert caught.value.members == {1: str(alone.value)}
+    assert lambda_optimal(stack[::2], fr, 0.0).tolist() == [lambda_optimal(css_rho("two", 1), fr, 0.0)] * 2

@@ -1,6 +1,7 @@
 """Package layout rules, checked on the source: each module reaches the
 others only through their public names, the frame's operators are read
-only through its public methods, and one module owns process fan-out."""
+only through its public methods, one module owns process fan-out, and
+one function loops over the steps."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,38 @@ def test_one_module_owns_the_process_pool():
 def test_every_exported_name_resolves():
     missing = [name for name in spinlab.__all__ if not hasattr(spinlab, name)]
     assert not missing
+
+
+class _StepLoops(ast.NodeVisitor):
+    """Names of the functions holding a loop over spec.n_steps, each loop
+    counted in its innermost function."""
+
+    def __init__(self, module):
+        self.module, self.functions, self.found = module, [], []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def _loop(self, node, head):
+        if any(isinstance(x, ast.Attribute) and x.attr == "n_steps" for x in ast.walk(head)):
+            self.found.append(".".join([self.module] + self.functions[-1:]))
+        self.generic_visit(node)
+
+    def visit_For(self, node):
+        self._loop(node, node.iter)
+
+    def visit_While(self, node):
+        self._loop(node, node.test)
+
+
+def test_one_function_loops_over_the_steps():
+    # integrate steps every run, one state or a stack; a second loop over
+    # the steps would be a second integrator to keep in line with it
+    found = []
+    for module, tree in SOURCES.items():
+        visitor = _StepLoops(module)
+        visitor.visit(tree)
+        found += visitor.found
+    assert found == ["dynamics.integrate"]

@@ -19,7 +19,7 @@ from spinlab.metrics import (
     squeezing_xi2,
 )
 
-from conftest import css_rho, random_pure
+from conftest import css_rho, random_density, random_pure
 
 
 def test_css_rows_two_mode():
@@ -180,3 +180,17 @@ def test_sweep_interior_flag_unconverged():
     point = min_squeezing_sweep("single", [2], "countertwist", v_max=0.1)[0]
     assert not point.interior
     assert point.v_at_min == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("conditioned", (False, True))
+@pytest.mark.parametrize("mode", ("single", "two"))
+def test_stacked_metrics_equal_per_state_rows(mode, conditioned):
+    frame = two_mode_frame(2, omega=10.0) if mode == "two" else single_mode_frame(4)
+    stack = np.stack([random_density(frame.dim, seed=s) for s in range(4)] + [np.eye(frame.dim) / frame.dim])
+    lam = np.linspace(-1.0, 2.0, len(stack))
+    rows = compute_metrics(stack, frame, v=0.3, lam=lam, conditioned=conditioned)
+    assert rows.values.shape == (10 if conditioned else 8, len(stack))
+    for k in range(len(stack)):
+        one = compute_metrics(stack[k], frame, v=0.3, lam=lam[k], conditioned=conditioned)
+        assert np.array_equal(rows.values[:, k].view(np.uint64), one.values.view(np.uint64))
+    assert math.isnan(rows.xi2[-1]) and not rows.entangled[-1]

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spinlab.algebra import single_mode_frame, spin_matrices, two_mode_frame
+from spinlab.algebra import expect_real, single_mode_frame, spin_matrices, two_mode_frame
 from spinlab.dynamics import EvolutionSpec, evolve
-from spinlab.feedback import FeedbackScheme
+from spinlab.feedback import FeedbackScheme, GainError
+from spinlab.metrics import compute_metrics
 from spinlab.stochastic import (
+    NOISE_BLOCK,
     TRACE_WINDOW,
     WienerStream,
     average_records,
@@ -19,7 +21,7 @@ from spinlab.stochastic import (
     trajectory_run,
 )
 
-from conftest import css_rho
+from conftest import css_rho, random_density
 
 
 def _spec(frame, **kw):
@@ -249,3 +251,176 @@ def test_average_records_requires_a_survivor():
 def test_trace_window_bounds_renormalisation():
     lo, hi = TRACE_WINDOW
     assert lo < 1.0 < hi
+
+
+# ----------------------------------------------------------------- stacks
+# A batch of trajectories is integrated as one (B, n, n) stack; every
+# member must come out bit for bit as the trajectory run alone.
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def _assert_same_record(a, b):
+    assert sorted(a.columns) == sorted(b.columns)
+    for name in a.columns:
+        assert np.array_equal(_bits(a.column(name)), _bits(b.column(name))), name
+    assert (a.status, a.abort_v, a.abort_reason) == (b.status, b.abort_v, b.abort_reason)
+    assert a.clamp_events == b.clamp_events
+    assert _bits(a.min_eig_floor) == _bits(b.min_eig_floor)
+    assert _bits(a.max_trace_drift) == _bits(b.max_trace_drift)
+    assert a.meta == b.meta
+
+
+def _assert_matches_singles(records, rho0, spec, controller, seed):
+    assert [r.meta["traj_index"] for r in records] == list(range(len(records)))
+    for i, rec in enumerate(records):
+        _assert_same_record(rec, trajectory_run(rho0, spec, controller, seed=seed, traj_index=i))
+
+
+@pytest.mark.parametrize(
+    "frame",
+    (single_mode_frame(2), two_mode_frame(2, omega=math.pi / 2e-3)),
+    ids=("spin-1", "two-mode-quarter-period"),
+)
+def test_batch_equals_single_trajectories(frame):
+    mode = frame.mode
+    rho0 = css_rho(mode, 2)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.06, record_stride=2, audit_stride=7)
+    controller = FeedbackScheme("simple-conditioned")
+    records = run_trajectories(rho0, spec, controller, seed=8, n_trajectories=5)
+    assert all(r.ok for r in records) and records[0].n_rows == 31
+    _assert_matches_singles(records, rho0, spec, controller, seed=8)
+
+
+class _Threshold(FeedbackScheme):
+    """A state-dependent controller: an enormous gain once the conditional
+    mean of Z passes a threshold, a mild one before."""
+
+    def __init__(self):
+        super().__init__("simple", clamp=1e12)
+
+    def gain(self, rho, frame, v):
+        mz = expect_real(frame.z_at(v), rho)
+        return np.where(np.asarray(mz) > 0.15, 1e9, 0.3)[()], False
+
+
+def test_mixed_batch_keeps_each_status():
+    frame = single_mode_frame(2)
+    rho0 = css_rho("single", 2)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.3)
+    controller = _Threshold()
+    records = run_trajectories(rho0, spec, controller, seed=4, n_trajectories=8)
+    statuses = {r.status for r in records}
+    assert statuses == {"ok", "aborted-norm"}
+    ended = [r for r in records if not r.ok]
+    assert all(r.n_rows < spec.n_steps + 1 for r in ended)
+    _assert_matches_singles(records, rho0, spec, controller, seed=4)
+
+
+class _Refuse(FeedbackScheme):
+    """A controller that has no gain for a state whose conditional mean of
+    Z passes a threshold, naming each such member of a stack."""
+
+    def __init__(self):
+        super().__init__("simple", clamp=1e12)
+
+    def gain(self, rho, frame, v):
+        mz = np.atleast_1d(expect_real(frame.z_at(v), rho))
+        members = {int(k): f"no gain at <Z> = {mz[k]:.6g}" for k in np.flatnonzero(mz > 0.15)}
+        if members:
+            raise GainError(next(iter(members.values())), members)
+        return 0.3, False
+
+
+def test_gain_errors_end_only_their_members():
+    frame = single_mode_frame(2)
+    rho0 = css_rho("single", 2)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.3)
+    records = run_trajectories(rho0, spec, _Refuse(), seed=4, n_trajectories=8)
+    assert {r.status for r in records} == {"ok", "aborted-gain"}
+    _assert_matches_singles(records, rho0, spec, _Refuse(), seed=4)
+
+
+def test_batching_does_not_change_the_records(monkeypatch):
+    from spinlab import stochastic
+
+    frame = single_mode_frame(2)
+    rho0 = css_rho("single", 2)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.04)
+    controller = FeedbackScheme("simple-conditioned")
+    whole = run_trajectories(rho0, spec, controller, seed=6, n_trajectories=7)
+    pooled = run_trajectories(rho0, spec, controller, seed=6, n_trajectories=7, jobs=3)
+    # an element budget of two spin-1 states forces batches of two
+    monkeypatch.setattr(stochastic, "BATCH_ELEMENTS", 2 * frame.dim**2)
+    split = run_trajectories(rho0, spec, controller, seed=6, n_trajectories=7)
+    for a, b, c in zip(whole, pooled, split):
+        _assert_same_record(a, b)
+        _assert_same_record(a, c)
+
+
+def test_noise_blocks_equal_single_increments():
+    dv = 1e-3
+    blocks = WienerStream(7, 3)
+    draws = np.concatenate([blocks.increments(dv, NOISE_BLOCK), blocks.increments(dv, 5)])
+    single = WienerStream(7, 3)
+    assert np.array_equal(draws, [single.increment(dv) for _ in range(NOISE_BLOCK + 5)])
+
+
+def test_trajectory_replays_across_a_noise_block_boundary():
+    frame = single_mode_frame(2)
+    dv = 1e-3
+    spec = _spec(frame, delta_v=dv, v_max=(NOISE_BLOCK + 3) * dv, audit_stride=0)
+    assert spec.n_steps == NOISE_BLOCK + 3
+    controller = FeedbackScheme("simple-conditioned")
+    rho0 = css_rho("single", 2)
+    rec = trajectory_run(rho0, spec, controller, seed=2, traj_index=1)
+    stream = WienerStream(2, 1)
+    rho = rho0.astype(complex)
+    for n in range(spec.n_steps):
+        lam, _ = controller.gain(rho, frame, n * dv)
+        rho, _, _ = conditioned_step(rho, frame, n * dv, lam, dv, stream.increment(dv))
+    assert rec.ok and rec.n_rows == spec.n_steps + 1
+    last = compute_metrics(rho, frame, v=spec.n_steps * dv, conditioned=True)
+    assert _bits(rec.column("zeta")[-1]) == _bits(last.zeta)
+    assert _bits(rec.column("zc_mean")[-1]) == _bits(last.zc_mean)
+
+
+class _Constant(FeedbackScheme):
+    """One scalar gain for every state, as a hand-written controller returns."""
+
+    def __init__(self, lam, clamped):
+        super().__init__("simple", clamp=1e12)
+        self.lam, self.clamped = lam, clamped
+
+    def gain(self, rho, frame, v):
+        return self.lam, self.clamped
+
+
+@pytest.mark.parametrize("lam,clamped", ((0.4, False), (0.25, True), (1e6, False)))
+def test_scalar_controller_gain_is_broadcast(lam, clamped):
+    frame = single_mode_frame(2)
+    rho0 = css_rho("single", 2)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.05)
+    controller = _Constant(lam, clamped)
+    records = run_trajectories(rho0, spec, controller, seed=12, n_trajectories=4)
+    assert all(np.all(r.column("lam") == lam) for r in records)
+    if clamped:
+        assert all(r.clamp_events == r.n_rows for r in records)
+    if lam > 1e3:
+        assert not any(r.ok for r in records)
+    _assert_matches_singles(records, rho0, spec, controller, seed=12)
+
+
+def test_stacked_step_equals_single_steps():
+    frame = two_mode_frame(2, omega=math.pi / 0.002)
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_density(frame.dim, seed=s) for s in range(4)])
+    lam = np.array([0.7, 0.0, -1.3, 0.2])
+    dw = rng.normal(scale=0.03, size=4)
+    out, dy, trace = conditioned_step(stack, frame, 0.123, lam, 1e-3, dw)
+    for k in range(4):
+        one = conditioned_step(stack[k], frame, 0.123, lam[k], 1e-3, dw[k])
+        assert np.array_equal(out[k].view(np.uint64), one[0].view(np.uint64))
+        assert _bits(dy[k]) == _bits(one[1]) and _bits(trace[k]) == _bits(one[2])
