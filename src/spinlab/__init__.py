@@ -14,9 +14,8 @@ from .algebra import (
     MeasurementFrame,
     single_mode_frame,
     two_mode_frame,
-    frame_from_operators,
 )
-from .dynamics import EvolutionSpec, evolve, dissipator, conditioning_superop
+from .dynamics import EvolutionSpec, evolve, dissipator
 from .feedback import FeedbackScheme, GainError
 from .metrics import MetricsRow, compute_metrics, min_squeezing_sweep
 from .optimal_states import optimal_curve, min_xi2_on_curve
@@ -31,11 +30,9 @@ __all__ = [
     "MeasurementFrame",
     "single_mode_frame",
     "two_mode_frame",
-    "frame_from_operators",
     "EvolutionSpec",
     "evolve",
     "dissipator",
-    "conditioning_superop",
     "FeedbackScheme",
     "GainError",
     "MetricsRow",

@@ -13,13 +13,15 @@ probe couples to
 
 with the static mean-spin component X = J_x^(+) satisfying
 [Z(v), Y(v)] = -iX at every v. The single-mode frame is the static
-triple Z = J_z, Y = J_y, X = J_x. Quadratic combinations that the
-integrators need every step (Z^2, Y^2, ZY+YZ, ZXZ) are assembled from
-constant products by the frame's trigonometric coefficients, so a step
-costs O(dim^2) on top of the generator's own products. Each dense
-operator and each constant product is built on first use: a run whose
-steps all land on frame nodes never builds the cross terms, and a frame
-that is only inspected builds none.
+triple Z = J_z, Y = J_y, X = J_x. Each quadratic combination that the
+integrators need every step (Z^2, Y^2, ZY+YZ, ZXZ) is a blend
+c^2 P_c + s^2 P_s + cs P_cs of three constant products: the cosine
+pair's, the sine pair's and their cross term. So a step costs O(dim^2)
+on top of the generator's own products. Each dense operator and each
+product is a named frame attribute built on first use. On a frame node
+a read returns P_c or P_s as built, so a run whose steps all land on
+nodes never builds a cross term, and a frame that is only inspected
+builds none. zeta_op sums the same Z^2 products.
 
 Every two-sample operator is a Kronecker sum over one sample's spin
 matrices, J^(+-) = J (x) 1 +- 1 (x) J, and those per-sample matrices are
@@ -130,97 +132,38 @@ def _quarter_phase(omega: float, v: float):
     return (float(np.cos(theta)), float(np.sin(theta)))
 
 
-def _blend_linear(a: np.ndarray, b: np.ndarray, c: float, s: float) -> np.ndarray:
-    if s == 0.0:
-        return a if c == 1.0 else c * a
-    if c == 0.0:
-        return b if s == 1.0 else s * b
-    return c * a + s * b
-
-
-class _LazyTriple:
-    """The constant products (aa, bb, ab) of one quadratic blend, each
-    built the first time it is indexed. Entry i is the sum, in order, of
-    the left-to-right products of the chains in chains[i], each chain a
-    tuple of frame attribute names; names rather than closures keep the
-    frame picklable for worker processes."""
-
-    __slots__ = ("_frame", "_chains", "_built")
-
-    def __init__(self, frame, *chains):
-        self._frame = frame
-        self._chains = chains
-        self._built = [None, None, None]
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        term = self._built[i]
-        if term is None:
-            for chain in self._chains[i]:
-                product = getattr(self._frame, chain[0])
-                for name in chain[1:]:
-                    product = product @ getattr(self._frame, name)
-                term = product if term is None else term + product
-            self._built[i] = term
-        return term
-
-
-def _products(*chains):
-    """A frame attribute holding the _LazyTriple of chains, made on first read."""
-    return cached_property(lambda frame: _LazyTriple(frame, *chains))
-
-
-def _blend_quadratic(triple, c: float, s: float) -> np.ndarray:
-    if s == 0.0:
-        return triple[0] if abs(c) == 1.0 else (c * c) * triple[0]
-    if c == 0.0:
-        return triple[1] if abs(s) == 1.0 else (s * s) * triple[1]
-    return (c * c) * triple[0] + (s * s) * triple[1] + (c * s) * triple[2]
-
-
 class MeasurementFrame:
     """Operator bundle for one measurement configuration.
 
     Exposes the rotating pair (Z(v), Y(v)), the static X, and the
     quadratic combinations the dynamics and gain laws consume, each built
-    on first use. Also owns the normalisations that turn raw moments into the reduced variance
-    zeta = <zeta_op>/zeta_norm and polarisation chi = <X>/chi_norm.
+    on first use. Also owns the normalisations that turn raw moments into
+    the reduced variance zeta = <zeta_op>/zeta_norm and polarisation
+    chi = <X>/chi_norm.
 
     The pair is Z = _zc cos + _zs sin and Y = _yc cos + _ys sin at the
     frame's phase. This class is the static frame of one collective spin:
     Z = jz, Y = jy and X = jx as given, with the phase pinned at (1, 0)
-    and no sine components. TwoModeFrame rotates the pair.
-    _zeta_weights pairs operator attribute names with their weights in
-    zeta_parts.
+    and no sine components, so each quadratic is one product of the
+    cosine pair. TwoModeFrame rotates the pair.
     """
 
     mode = "single"
     omega = 0.0
-    _zs = _ys = None  # no sine components
-    _zeta_weights = (("_zc", 2.0),)
+    # zeta = sum_i w_i <q_i^2> / zeta_norm over the slow pair q = (zc_op,
+    # yc_op); conditioned scores subtract w_i <q_i>^2
+    zeta_weights = (2.0,)
 
     def __init__(self, jx, jy, jz, twice_j):
         self._zc, self._yc, self.x_op = jz, jy, jx
         self.dim = jx.shape[0]
         self.spin_j = self.zeta_norm = self.chi_norm = twice_j / 2.0
 
-    _zz = _products((("_zc", "_zc"),), (("_zs", "_zs"),), (("_zc", "_zs"), ("_zs", "_zc")))
-    _yy = _products((("_yc", "_yc"),), (("_ys", "_ys"),), (("_yc", "_ys"), ("_ys", "_yc")))
-    _zy_anti = _products(
-        (("_zc", "_yc"), ("_yc", "_zc")),
-        (("_zs", "_ys"), ("_ys", "_zs")),
-        (("_zc", "_ys"), ("_ys", "_zc"), ("_zs", "_yc"), ("_yc", "_zs")),
-    )
-    _zxz = _products(
-        (("_zc", "x_op", "_zc"),),
-        (("_zs", "x_op", "_zs"),),
-        (("_zc", "x_op", "_zs"), ("_zs", "x_op", "_zc")),
-    )
-
-    @cached_property
-    def zeta_parts(self):
-        """((op, weight), ...) with zeta = sum w <op^2> / zeta_norm;
-        mean-subtracted variants replace <op^2> by <op^2> - <op>^2."""
-        return tuple((getattr(self, name), w) for name, w in self._zeta_weights)
+    # the cosine pair's products: Z^2, Y^2, ZY + YZ and ZXZ at phase (1, 0)
+    _z2_c = cached_property(lambda self: self._zc @ self._zc)
+    _y2_c = cached_property(lambda self: self._yc @ self._yc)
+    _zy_c = cached_property(lambda self: self._zc @ self._yc + self._yc @ self._zc)
+    _zxz_c = cached_property(lambda self: self._zc @ self.x_op @ self._zc)
 
     @property
     def zc_op(self) -> np.ndarray:
@@ -240,7 +183,7 @@ class MeasurementFrame:
 
     @cached_property
     def zeta_op(self) -> np.ndarray:
-        return sum(w * (op @ op) for op, w in self.zeta_parts)
+        return sum(w * square for w, square in zip(self.zeta_weights, (self._z2_c,)))
 
     def coefficients(self, v: float):
         return (1.0, 0.0)
@@ -253,17 +196,17 @@ class MeasurementFrame:
         return self._yc
 
     def z2_at(self, v: float) -> np.ndarray:
-        return self._zz[0]
+        return self._z2_c
 
     def y2_at(self, v: float) -> np.ndarray:
-        return self._yy[0]
+        return self._y2_c
 
     def zy_anti_at(self, v: float) -> np.ndarray:
         """ZY + YZ at time v."""
-        return self._zy_anti[0]
+        return self._zy_c
 
     def zxz_at(self, v: float) -> np.ndarray:
-        return self._zxz[0]
+        return self._zxz_c
 
 
 class TwoModeFrame(MeasurementFrame):
@@ -272,10 +215,14 @@ class TwoModeFrame(MeasurementFrame):
     per-sample spin matrices in sample, built on first read. Also carries
     the per-sample factors: J_y = i jy_factor on each sample with
     jy_factor real (d x d, d = 2j + 1), and the diagonals jzp_diag and
-    jzm_diag of J_z^+ and J_z^-, entries m1 +- m2 in the |m1, m2> order."""
+    jzm_diag of J_z^+ and J_z^-, entries m1 +- m2 in the |m1, m2> order.
+
+    A quadratic read on a frame node (cos or sin zero) returns the cosine
+    or the sine pair's product as built; off the nodes it blends both with
+    the cross term, c^2 cos + s^2 sin + c s cross."""
 
     mode = "two"
-    _zeta_weights = (("_zc", 1.0), ("_zs", 1.0))
+    zeta_weights = (1.0, 1.0)
 
     def __init__(self, twice_j, omega):
         self.sample = spin_matrices(twice_j)
@@ -294,47 +241,82 @@ class TwoModeFrame(MeasurementFrame):
     _ys = cached_property(lambda self: -np.subtract(*on_samples(self.sample.jz)))
     x_op = cached_property(lambda self: np.add(*on_samples(self.sample.jx)))
 
+    # the sine pair's products, then the cross terms only off-node reads need
+    _z2_s = cached_property(lambda self: self._zs @ self._zs)
+    _y2_s = cached_property(lambda self: self._ys @ self._ys)
+    _zy_s = cached_property(lambda self: self._zs @ self._ys + self._ys @ self._zs)
+    _zxz_s = cached_property(lambda self: self._zs @ self.x_op @ self._zs)
+    _z2_cs = cached_property(lambda self: self._zc @ self._zs + self._zs @ self._zc)
+    _y2_cs = cached_property(lambda self: self._yc @ self._ys + self._ys @ self._yc)
+    _zy_cs = cached_property(
+        lambda self: self._zc @ self._ys + self._ys @ self._zc + self._zs @ self._yc + self._yc @ self._zs
+    )
+    _zxz_cs = cached_property(lambda self: self._zc @ self.x_op @ self._zs + self._zs @ self.x_op @ self._zc)
+
     @property
     def yc_op(self) -> np.ndarray:
         return self._zs
+
+    @cached_property
+    def zeta_op(self) -> np.ndarray:
+        return sum(w * square for w, square in zip(self.zeta_weights, (self._z2_c, self._z2_s)))
 
     def coefficients(self, v: float):
         return _quarter_phase(self.omega, v)
 
     def z_at(self, v: float) -> np.ndarray:
         c, s = self.coefficients(v)
-        return _blend_linear(self._zc, self._zs, c, s)
+        if s == 0.0:
+            return self._zc if c == 1.0 else c * self._zc
+        if c == 0.0:
+            return self._zs if s == 1.0 else s * self._zs
+        return c * self._zc + s * self._zs
 
     def y_at(self, v: float) -> np.ndarray:
         c, s = self.coefficients(v)
-        return _blend_linear(self._yc, self._ys, c, s)
+        if s == 0.0:
+            return self._yc if c == 1.0 else c * self._yc
+        if c == 0.0:
+            return self._ys if s == 1.0 else s * self._ys
+        return c * self._yc + s * self._ys
 
     def z2_at(self, v: float) -> np.ndarray:
-        return _blend_quadratic(self._zz, *self.coefficients(v))
+        c, s = self.coefficients(v)
+        if s == 0.0:
+            return self._z2_c
+        if c == 0.0:
+            return self._z2_s
+        return (c * c) * self._z2_c + (s * s) * self._z2_s + (c * s) * self._z2_cs
 
     def y2_at(self, v: float) -> np.ndarray:
-        return _blend_quadratic(self._yy, *self.coefficients(v))
+        c, s = self.coefficients(v)
+        if s == 0.0:
+            return self._y2_c
+        if c == 0.0:
+            return self._y2_s
+        return (c * c) * self._y2_c + (s * s) * self._y2_s + (c * s) * self._y2_cs
 
     def zy_anti_at(self, v: float) -> np.ndarray:
         """ZY + YZ at time v."""
-        return _blend_quadratic(self._zy_anti, *self.coefficients(v))
+        c, s = self.coefficients(v)
+        if s == 0.0:
+            return self._zy_c
+        if c == 0.0:
+            return self._zy_s
+        return (c * c) * self._zy_c + (s * s) * self._zy_s + (c * s) * self._zy_cs
 
     def zxz_at(self, v: float) -> np.ndarray:
-        return _blend_quadratic(self._zxz, *self.coefficients(v))
+        c, s = self.coefficients(v)
+        if s == 0.0:
+            return self._zxz_c
+        if c == 0.0:
+            return self._zxz_s
+        return (c * c) * self._zxz_c + (s * s) * self._zxz_s + (c * s) * self._zxz_cs
 
 
 def single_mode_frame(twice_j: int) -> MeasurementFrame:
     mats = spin_matrices(twice_j)
     return MeasurementFrame(mats.jx, mats.jy, mats.jz, twice_j)
-
-
-def frame_from_operators(jx, jy, jz, twice_j_total: int) -> MeasurementFrame:
-    """Single-mode-style frame over caller-supplied spin components.
-
-    Useful when a combined system should be driven and scored as one
-    collective spin, e.g. two spin-1/2 samples treated as total spin 1.
-    """
-    return MeasurementFrame(jx, jy, jz, twice_j_total)
 
 
 def two_mode_frame(twice_j: int, omega: float) -> MeasurementFrame:

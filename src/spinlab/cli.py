@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .harness import (
     FIGURE_BUNDLES,
@@ -19,6 +20,8 @@ from .harness import (
     SCHEMES,
     SWEEP_SCHEMES,
     ConfigError,
+    SimConfig,
+    coerce,
     gamma_from_experiment,
     load_config,
     run_ensemble,
@@ -35,12 +38,6 @@ from .stochastic import fan_out
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ABORT = 3
-
-_SCENARIO_KEYS = (
-    "mode", "twice_j", "scheme", "delta_v", "v_max", "omega",
-    "seed", "ensemble", "stride", "conditioned", "clamp", "out", "jobs",
-)
-
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="flat 'key = value' scenario file; flags override it")
@@ -61,14 +58,10 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _scenario_config(args: argparse.Namespace):
-    overrides = {k: getattr(args, k, None) for k in _SCENARIO_KEYS}
-    if overrides.get("seed") is None:
-        env = os.environ.get("SPINLAB_SEED")
-        if env is not None:
-            try:
-                overrides["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"SPINLAB_SEED: not an integer: {env!r}") from None
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(SimConfig)}
+    env = os.environ.get("SPINLAB_SEED")
+    if overrides["seed"] is None and env is not None:
+        overrides["seed"] = coerce("seed", env, source="SPINLAB_SEED")
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -98,7 +91,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    statuses = run_figure(args.figure_id, out_dir=args.out_dir, jobs=args.jobs or 1)
+    statuses = run_figure(args.figure_id, out_dir=args.out_dir, jobs=_positive("jobs", args.jobs))
     for name, status in sorted(statuses.items()):
         print(f"{args.figure_id}/{name}: {status}")
     return EXIT_OK if all(s == "ok" for s in statuses.values()) else EXIT_ABORT
@@ -109,10 +102,10 @@ def _sweep_one(task):
     return min_squeezing_sweep(mode, (twice_j,), scheme, delta_v=delta_v, v_max=v_max)
 
 
-def _check_twice_j(twice_j: int) -> int:
-    if twice_j < 1:
-        raise ConfigError(f"twice-j: need a positive integer, got {twice_j!r}")
-    return twice_j
+def _positive(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag}: need a positive integer, got {value!r}")
+    return value
 
 
 def _cmd_sweep(args) -> int:
@@ -124,8 +117,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("twice-j: need at least one value")
     v_max = args.v_max if args.v_max is not None else sweep_v_max(args.scheme)
     delta_v = args.delta_v if args.delta_v is not None else 1e-3
-    tasks = [(args.mode, _check_twice_j(tj), args.scheme, delta_v, v_max) for tj in twice_j_values]
-    points = [p for chunk in fan_out(_sweep_one, tasks, args.jobs or 1) for p in chunk]
+    jobs = _positive("jobs", args.jobs)
+    tasks = [(args.mode, _positive("twice-j", tj), args.scheme, delta_v, v_max) for tj in twice_j_values]
+    points = [p for chunk in fan_out(_sweep_one, tasks, jobs) for p in chunk]
     for p in points:
         note = "" if p.status == "ok" else f"  [{p.status}]"
         print(f"{p.mode:6s} {p.scheme:16s} 2j={p.twice_j:<3d} "
@@ -137,7 +131,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    points = optimal_curve(args.mode, _check_twice_j(args.twice_j), n_mu=args.n_mu)
+    points = optimal_curve(args.mode, _positive("twice-j", args.twice_j), n_mu=_positive("n-mu", args.n_mu))
     best = min_xi2_on_curve(points)
     j = args.twice_j / 2.0
     print(f"frontier {args.mode}/2j={args.twice_j}: {len(points)} points, "
@@ -175,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="regenerate a bundled scenario set")
     p_fig.add_argument("figure_id", choices=sorted(FIGURE_BUNDLES))
     p_fig.add_argument("--out-dir", dest="out_dir", help="directory for the curve CSVs")
-    p_fig.add_argument("--jobs", type=int, help="parallel worker cap")
+    p_fig.add_argument("--jobs", type=int, default=1, help="parallel worker cap")
     p_fig.set_defaults(handler=_cmd_figure)
 
     p_sweep = sub.add_parser("sweep", help="best squeezing versus sample size")
@@ -186,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delta-v", type=float, dest="delta_v")
     p_sweep.add_argument("--v-max", type=float, dest="v_max")
     p_sweep.add_argument("--out", help="sweep table CSV path")
-    p_sweep.add_argument("--jobs", type=int)
+    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_front = sub.add_parser("frontier", help="extremal (polarisation, variance) curve")

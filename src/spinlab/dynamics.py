@@ -77,17 +77,6 @@ def dissipator(r, rho):
     return r @ rho @ rd - 0.5 * (rdr @ rho + rho @ rdr)
 
 
-def conditioning_superop(r, rho):
-    """H[r] rho = r rho + rho r^dag - Tr[(r + r^dag) rho] rho.
-
-    Traceless by construction; drives the record-conditioned update.
-    """
-    m = r @ rho
-    rd_term = rho @ r.conj().T
-    mean = np.trace(m).real + np.trace(rd_term).real
-    return m + rd_term - mean * rho
-
-
 @dataclass
 class EvolutionSpec:
     """What to integrate and how finely."""
@@ -131,8 +120,7 @@ def countertwist_hamiltonian(frame: MeasurementFrame, variant: str):
         jy1, jy2 = on_samples(frame.sample.jy)
         return jz1 @ jy2 + jy1 @ jz2
     if variant == "countertwist-single":
-        z0, y0 = frame.z_at(0.0), frame.y_at(0.0)  # collective Jz, Jy
-        return 0.5 * (z0 @ y0 + y0 @ z0)
+        return 0.5 * frame.zy_anti_at(0.0)  # collective Jz Jy + Jy Jz
     raise ValueError(f"unknown countertwisting variant {variant!r}")
 
 

@@ -131,19 +131,13 @@ class SimConfig:
         )
 
     def header_items(self) -> list[tuple[str, str]]:
-        """Flat key/value view; same spelling the config-file parser accepts."""
+        """Flat key/value view of what the run computes, omega resolved;
+        same spelling the config-file parser accepts."""
+        values = {**vars(self), "omega": self.omega_value}
         return [
-            ("mode", self.mode),
-            ("twice-j", str(self.twice_j)),
-            ("scheme", self.scheme),
-            ("delta-v", _fmt(self.delta_v)),
-            ("v-max", _fmt(self.v_max)),
-            ("omega", _fmt(self.omega_value)),
-            ("seed", str(self.seed)),
-            ("ensemble", str(self.ensemble)),
-            ("stride", str(self.stride)),
-            ("conditioned", "true" if self.conditioned else "false"),
-            ("clamp", _fmt(self.clamp)),
+            (name.replace("_", "-"), _header_cell(values[name], kind))
+            for name, kind in _FIELD_TYPES.items()
+            if name not in _RUN_ONLY
         ]
 
     def canonical_hash(self) -> str:
@@ -156,37 +150,37 @@ def _fmt(x) -> str:
     return x if isinstance(x, str) else "%.17g" % float(x)
 
 
+# each SimConfig field's declared type, as written in the class
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
+# where the artifacts go and how many workers make them: not in the header
+_RUN_ONLY = ("out", "jobs")
+_BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
+# declared field type -> (parser, what a refusal says it wanted); omega's
+# "float | str" keeps a non-number as it is, for SimConfig to take or refuse
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda raw: _BOOLEANS[raw.lower()], "a boolean"),
+    "float | str": (float, None),
+}
 
 
-def _coerce(key: str, raw: str):
-    if key in ("twice_j", "seed", "ensemble", "stride", "jobs"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key.replace('_', '-')}: not an integer: {raw!r}") from None
-    if key in ("delta_v", "v_max", "clamp"):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key.replace('_', '-')}: not a number: {raw!r}") from None
-    if key == "omega":
-        if raw == "auto":
-            return "auto"
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"omega: not a number or 'auto': {raw!r}") from None
-    if key == "conditioned":
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"conditioned: not a boolean: {raw!r}")
-    return raw  # mode, scheme, out stay strings
+def _header_cell(value, kind: str) -> str:
+    if kind == "bool":
+        return "true" if value else "false"
+    return str(value) if kind == "int" else _fmt(value)
+
+
+def coerce(key: str, raw: str, source: str | None = None):
+    """raw, a config-file, flag or environment string, as field key's
+    declared type; errors name source, by default the field."""
+    parse, wanted = _PARSERS.get(_FIELD_TYPES[key], (str, None))
+    try:
+        return parse(raw)
+    except (ValueError, KeyError):
+        if wanted is None:
+            return raw
+        raise ConfigError(f"{source or key.replace('_', '-')}: not {wanted}: {raw!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -202,7 +196,7 @@ def parse_config_text(text: str) -> dict:
         field = key.replace("-", "_")
         if field not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        overrides[field] = _coerce(field, raw)
+        overrides[field] = coerce(field, raw)
     return overrides
 
 
@@ -214,7 +208,7 @@ def load_config(path=None, cli_overrides: dict | None = None) -> SimConfig:
         merged.update(parse_config_text(Path(path).read_text()))
     if cli_overrides:
         merged.update(
-            {k: _coerce(k, v) if isinstance(v, str) else v for k, v in cli_overrides.items() if v is not None}
+            {k: coerce(k, v) if isinstance(v, str) else v for k, v in cli_overrides.items() if v is not None}
         )
     try:
         return SimConfig(**merged)

@@ -80,10 +80,10 @@ def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=Fa
     if conditioned:
         row[8] = expect_real(frame.zc_op, rho)
         row[9] = expect_real(frame.yc_op, rho)
-        for op, w in frame.zeta_parts:
+        for w, mean in zip(frame.zeta_weights, row[8:]):
             # float_power is C pow, as Python's float ** is; a square can
             # round differently from it in the last bit
-            raw = raw - w * np.float_power(expect_real(op, rho), 2.0)
+            raw = raw - w * np.float_power(mean, 2.0)
     zeta = raw / frame.zeta_norm
     row[0] = v
     row[1] = zeta

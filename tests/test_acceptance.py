@@ -14,7 +14,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, css_rho
 from spinlab.algebra import (
-    frame_from_operators,
+    MeasurementFrame,
     single_mode_frame,
     spin_matrices,
     two_mode_frame,
@@ -164,7 +164,7 @@ def test_criterion_03_spin_half_pair_equivalence(spin1_runs):
     m, eye = spin_matrices(1), np.eye(2)
     jxp, jyp, jzp = (np.kron(op, eye) + np.kron(eye, op) for op in (m.jx, m.jy, m.jz))
     paired = two_mode_frame(1, omega=math.pi / 0.002)
-    merged = frame_from_operators(jxp, jyp, jzp, 2)
+    merged = MeasurementFrame(jxp, jyp, jzp, 2)
     h_pair = countertwist_hamiltonian(paired, "countertwist-two")
     h_merged = countertwist_hamiltonian(merged, "countertwist-single")
     h_gap = float(np.abs(h_pair - h_merged).max())

@@ -10,7 +10,6 @@ from spinlab.algebra import (
     SpinQuantum,
     coherent_spin_state,
     expect_real,
-    frame_from_operators,
     single_mode_frame,
     spin_matrices,
     two_mode_coherent_state,
@@ -139,9 +138,11 @@ def test_two_mode_frame_builds_operators_on_first_read():
     unbuilt = pickle.loads(pickle.dumps(fr))
     z = fr.z_at(0.3)  # reads both rotating components
     assert dense & set(vars(fr)) == {"_zc", "_zs"}
+    z2 = fr.z2_at(0.3)  # builds the cosine, sine and cross Z^2 products
     built = pickle.loads(pickle.dumps(fr))
     for copy in (unbuilt, built):
         assert np.array_equal(copy.z_at(0.3), z)
+        assert np.array_equal(copy.z2_at(0.3), z2)
         assert np.array_equal(copy.y_at(0.3), fr.y_at(0.3))
 
 
@@ -218,10 +219,10 @@ def test_two_mode_frame_norms_and_zeta_op():
     assert fr.spin_j == tj / 2.0
 
 
-def test_frame_from_operators_embeds_total_spin():
+def test_measurement_frame_embeds_total_spin():
     ops = kron_ops(1)
     jzp = ops["jz1"] + ops["jz2"]
-    fr = frame_from_operators(ops["jx1"] + ops["jx2"], ops["jy1"] + ops["jy2"], jzp, twice_j_total=2)
+    fr = MeasurementFrame(ops["jx1"] + ops["jx2"], ops["jy1"] + ops["jy2"], jzp, twice_j=2)
     assert fr.mode == "single"
     assert fr.dim == 4
     assert np.abs(fr.z_at(0.3) - jzp).max() == 0.0

@@ -34,19 +34,26 @@ def test_config_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, field",
     [
-        ["sweep", "--mode", "two", "--scheme", "simple", "--twice-j", "1", "--delta-v", "0.5"],
-        ["sweep", "--mode", "two", "--scheme", "simple", "--twice-j", "0"],
-        ["sweep", "--mode", "single", "--scheme", "optimal-states", "--twice-j", "2,0"],
-        ["frontier", "--mode", "two", "--twice-j", "0"],
+        (["sweep", "--mode", "two", "--scheme", "simple", "--twice-j", "1", "--delta-v", "0.5"], "delta-v"),
+        (["sweep", "--mode", "two", "--scheme", "simple", "--twice-j", "0"], "twice-j"),
+        (["sweep", "--mode", "single", "--scheme", "optimal-states", "--twice-j", "2,0"], "twice-j"),
+        (["frontier", "--mode", "two", "--twice-j", "0"], "twice-j"),
+        (["frontier", "--mode", "two", "--twice-j", "2", "--n-mu", "0"], "n-mu"),
+        (["frontier", "--mode", "two", "--twice-j", "2", "--n-mu", "-3"], "n-mu"),
+        (["sweep", "--mode", "two", "--scheme", "simple", "--twice-j", "1", "--jobs", "0"], "jobs"),
+        (["figure", "fig5", "--jobs", "-2"], "jobs"),
     ],
-    ids=["sweep-delta-v", "sweep-twice-j", "optimal-states-twice-j", "frontier-twice-j"],
+    ids=[
+        "sweep-delta-v", "sweep-twice-j", "optimal-states-twice-j", "frontier-twice-j",
+        "frontier-n-mu-zero", "frontier-n-mu-negative", "sweep-jobs", "figure-jobs",
+    ],
 )
-def test_bad_input_exits_two(argv, capsys):
+def test_bad_input_exits_two(argv, field, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and ("delta-v" in err or "twice-j" in err)
+    assert err.startswith("error: ") and field in err
 
 
 def test_aborted_run_exits_three(monkeypatch, capsys):

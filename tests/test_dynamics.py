@@ -11,7 +11,6 @@ from spinlab.algebra import single_mode_frame, spin_matrices, two_mode_frame
 from spinlab.dynamics import (
     EvolutionSpec,
     averaged_rate,
-    conditioning_superop,
     countertwist_hamiltonian,
     countertwist_propagator,
     countertwisting_step,
@@ -39,28 +38,6 @@ def test_dissipator_spin_half_coherence_decay():
     rho = css_rho("single", 1)
     want = np.array([[0.0, -0.25], [-0.25, 0.0]])
     assert np.abs(dissipator(m.jz, rho) - want).max() < 1e-14
-
-
-def test_conditioning_trace_free():
-    rng = np.random.default_rng(3)
-    r = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    rho = random_density(5, seed=4)
-    assert abs(np.trace(conditioning_superop(r, rho))) < 1e-12
-
-
-def test_conditioning_vanishes_on_eigenstate():
-    m = spin_matrices(4)
-    ket = np.zeros(5)
-    ket[1] = 1.0  # m = +1 eigenstate of Jz
-    rho = np.outer(ket, ket)
-    assert np.abs(conditioning_superop(m.jz, rho)).max() < 1e-14
-
-
-def test_conditioning_spin_half_hand_result():
-    m = spin_matrices(1)
-    rho = css_rho("single", 1)
-    want = np.array([[0.5, 0.0], [0.0, -0.5]])
-    assert np.abs(conditioning_superop(m.jz, rho) - want).max() < 1e-14
 
 
 @pytest.mark.parametrize("lam", (0.0, 0.7, -1.3, 4.0))
