@@ -23,6 +23,11 @@ a read returns P_c or P_s as built, so a run whose steps all land on
 nodes never builds a cross term, and a frame that is only inspected
 builds none. zeta_op sums the same Z^2 products.
 
+What is real in the J_z eigenbasis is stored as float64: J_x, J_z and
+J_z^-, every node's Z^2, Y^2 and ZXZ, X^2, zeta_op, and the static frame's
+K = -iY and S = -i(ZY + YZ). J_y, the ZY + YZ products and the cross
+terms are imaginary and stay complex.
+
 Every two-sample operator is a Kronecker sum over one sample's spin
 matrices, J^(+-) = J (x) 1 +- 1 (x) J, and those per-sample matrices are
 all a two-mode frame holds: it builds each dense operator from them on
@@ -106,6 +111,13 @@ def coherent_spin_state(twice_j: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _real(op: np.ndarray) -> np.ndarray:
+    """A real-valued operator as a C-contiguous float64 array."""
+    if np.iscomplexobj(op) and op.imag.any():
+        raise ValueError("expected a real-valued operator")
+    return np.ascontiguousarray(op.real)
+
+
 def on_samples(op: np.ndarray):
     """(op (x) 1, 1 (x) op): a per-sample operator acting on sample 1 and
     on sample 2 of a two-sample system."""
@@ -155,15 +167,18 @@ class MeasurementFrame:
     zeta_weights = (2.0,)
 
     def __init__(self, jx, jy, jz, twice_j):
-        self._zc, self._yc, self.x_op = jz, jy, jx
+        self._zc, self._yc, self.x_op = _real(jz), jy, _real(jx)
         self.dim = jx.shape[0]
         self.spin_j = self.zeta_norm = self.chi_norm = twice_j / 2.0
 
     # the cosine pair's products: Z^2, Y^2, ZY + YZ and ZXZ at phase (1, 0)
     _z2_c = cached_property(lambda self: self._zc @ self._zc)
-    _y2_c = cached_property(lambda self: self._yc @ self._yc)
+    _y2_c = cached_property(lambda self: _real(self._yc @ self._yc))
     _zy_c = cached_property(lambda self: self._zc @ self._yc + self._yc @ self._zc)
     _zxz_c = cached_property(lambda self: self._zc @ self.x_op @ self._zc)
+    # -iY and -i(ZY + YZ), real because Y is imaginary and Z real
+    _k = cached_property(lambda self: _real(-1j * self._yc))
+    _s = cached_property(lambda self: _real(-1j * self._zy_c))
 
     @property
     def zc_op(self) -> np.ndarray:
@@ -179,7 +194,9 @@ class MeasurementFrame:
 
     @cached_property
     def x2_op(self) -> np.ndarray:
-        return self.x_op @ self.x_op
+        # the complex product: the real one sums some entries of (J_x^+)^2 in
+        # another order, and the complex runs' bytes depend on them
+        return _real(self.x_op @ self.x_op.astype(complex))
 
     @cached_property
     def zeta_op(self) -> np.ndarray:
@@ -208,6 +225,14 @@ class MeasurementFrame:
     def zxz_at(self, v: float) -> np.ndarray:
         return self._zxz_c
 
+    def k_at(self, v: float) -> np.ndarray:
+        """-iY at time v."""
+        return self._k
+
+    def s_at(self, v: float) -> np.ndarray:
+        """-i(ZY + YZ) at time v."""
+        return self._s
+
 
 class TwoModeFrame(MeasurementFrame):
     """The rotating frame of two identical samples: Z = (J_z^+, J_y^-),
@@ -235,17 +260,17 @@ class TwoModeFrame(MeasurementFrame):
         self.jzp_diag = np.add.outer(m, m).ravel()
         self.jzm_diag = np.subtract.outer(m, m).ravel()
 
-    _zc = cached_property(lambda self: np.add(*on_samples(self.sample.jz)))
+    _zc = cached_property(lambda self: np.add(*on_samples(self.sample.jz.real)))
     _zs = cached_property(lambda self: np.subtract(*on_samples(self.sample.jy)))
     _yc = cached_property(lambda self: np.add(*on_samples(self.sample.jy)))
-    _ys = cached_property(lambda self: -np.subtract(*on_samples(self.sample.jz)))
-    x_op = cached_property(lambda self: np.add(*on_samples(self.sample.jx)))
+    _ys = cached_property(lambda self: -np.subtract(*on_samples(self.sample.jz.real)))
+    x_op = cached_property(lambda self: np.add(*on_samples(self.sample.jx.real)))
 
     # the sine pair's products, then the cross terms only off-node reads need
-    _z2_s = cached_property(lambda self: self._zs @ self._zs)
+    _z2_s = cached_property(lambda self: _real(self._zs @ self._zs))
     _y2_s = cached_property(lambda self: self._ys @ self._ys)
     _zy_s = cached_property(lambda self: self._zs @ self._ys + self._ys @ self._zs)
-    _zxz_s = cached_property(lambda self: self._zs @ self.x_op @ self._zs)
+    _zxz_s = cached_property(lambda self: _real(self._zs @ self.x_op @ self._zs))
     _z2_cs = cached_property(lambda self: self._zc @ self._zs + self._zs @ self._zc)
     _y2_cs = cached_property(lambda self: self._yc @ self._ys + self._ys @ self._yc)
     _zy_cs = cached_property(
@@ -313,6 +338,12 @@ class TwoModeFrame(MeasurementFrame):
             return self._zxz_s
         return (c * c) * self._zxz_c + (s * s) * self._zxz_s + (c * s) * self._zxz_cs
 
+    def k_at(self, v: float) -> np.ndarray:
+        return -1j * self.y_at(v)
+
+    def s_at(self, v: float) -> np.ndarray:
+        return -1j * self.zy_anti_at(v)
+
 
 def single_mode_frame(twice_j: int) -> MeasurementFrame:
     mats = spin_matrices(twice_j)
@@ -331,7 +362,8 @@ def two_mode_frame(twice_j: int, omega: float) -> MeasurementFrame:
 
 
 def expect_real(op: np.ndarray, rho: np.ndarray):
-    """Tr[op rho] for Hermitian op and rho (imag part is rounding noise).
+    """Tr[op rho] for Hermitian op and rho (imag part is rounding noise);
+    a real dot when both are float64.
 
     rho is one n x n state or a (B, n, n) stack. The result is a float for
     one state, a stack of one included, and a (B,) array for a larger

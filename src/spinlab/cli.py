@@ -17,7 +17,6 @@ from dataclasses import fields
 from .harness import (
     FIGURE_BUNDLES,
     MODES,
-    SCHEMES,
     SWEEP_SCHEMES,
     ConfigError,
     SimConfig,
@@ -39,22 +38,16 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ABORT = 3
 
+# argparse type of each SimConfig field type; any other field is a string
+_FLAG_TYPES = {"int": int, "float": float}
+
+
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    """--config, then one flag per SimConfig field, from its type and metadata."""
     p.add_argument("--config", metavar="FILE", help="flat 'key = value' scenario file; flags override it")
-    p.add_argument("--mode", choices=MODES, help="one sample or two co-polarised samples")
-    p.add_argument("--twice-j", type=int, dest="twice_j", help="2j per sample (integer)")
-    p.add_argument("--scheme", choices=SCHEMES, help="gain law, countertwisting, or none")
-    p.add_argument("--delta-v", type=float, dest="delta_v", help="scaled step (default 1e-3)")
-    p.add_argument("--v-max", type=float, dest="v_max", help="scaled horizon (default 20)")
-    p.add_argument("--omega", help="frame rotation rate, or 'auto' for pi/(2 delta_v)")
-    p.add_argument("--seed", type=int, help="noise seed (default: $SPINLAB_SEED, then 0)")
-    p.add_argument("--ensemble", type=int, help="trajectory count for ensemble runs")
-    p.add_argument("--stride", type=int, help="record every N steps")
-    p.add_argument("--conditioned", action="store_true", default=None,
-                   help="single record-conditioned trajectory instead of the averaged equation")
-    p.add_argument("--clamp", type=float, help="gain magnitude bound (default 1e3)")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--jobs", type=int, help="parallel worker cap for fan-out commands")
+    for f in fields(SimConfig):
+        kind = dict(action="store_true", default=None) if f.type == "bool" else dict(type=_FLAG_TYPES.get(f.type))
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **kind, **f.metadata)
 
 
 def _scenario_config(args: argparse.Namespace):

@@ -35,6 +35,14 @@ status. What differs between runs is only the step it is handed:
 * Every other frame and rate steps forward Euler, the generator
   re-evaluated at the start of each step.
 
+Dtype: in the J_z basis J_x, J_z and the +x coherent state are real and
+J_y = iK with K real. So the averaged two-mode rate, the static
+single-mode rate and countertwisting (H imaginary, exp(-i H delta_v) real
+orthogonal) keep a real state real, and evolve steps them on a float64
+stack when rho0's imaginary part is exactly zero: half the memory, real
+BLAS in every product, expectation and audit. The conditioned step and
+finite-omega Euler runs mix real and imaginary operators and stay complex.
+
 The Euler rate, feedback_rate, costs four dim^3 products with the dense
 frame operators. At a node time, Hermiticity of rho lets every other
 product be recovered as a conjugate transpose, and r^dag r folds into
@@ -125,44 +133,39 @@ def countertwist_hamiltonian(frame: MeasurementFrame, variant: str):
 
 
 def feedback_rate(frame: MeasurementFrame, rho, v: float, lam: float):
-    """Right-hand side of the scaled master equation at time v."""
+    """Right-hand side of the scaled master equation at time v, written
+    with K = -iY and S = -i(ZY + YZ): D[r] rho with r = Z + L K, plus the
+    twisting drive L (m + m^dag)/2 with m = S rho. On the static frame K
+    and S are real, so a real rho gives a real rate."""
     z = frame.z_at(v)
     z2 = frame.z2_at(v)
     if lam == 0.0:
         zr = z @ rho
         half = z2 @ rho
         return zr @ z - 0.5 * (half + half.conj().T)
-    y = frame.y_at(v)
-    y2 = frame.y2_at(v)
-    anti = frame.zy_anti_at(v)
-    r = z - 1j * lam * y
-    rdr = z2 + (lam * lam) * y2 - lam * frame.x_op  # r^dag r, assembled without a product
+    r = z + lam * frame.k_at(v)
+    rdr = z2 + (lam * lam) * frame.y2_at(v) - lam * frame.x_op  # r^dag r, assembled without a product
     rr = r @ rho
     sandwich = rr @ r.conj().T
     half = rdr @ rho
-    drive = anti @ rho
-    return (
-        (-0.5j * lam) * (drive - drive.conj().T)
-        + sandwich
-        - 0.5 * (half + half.conj().T)
-    )
+    drive = frame.s_at(v) @ rho
+    return (0.5 * lam) * (drive + drive.conj().T) + sandwich - 0.5 * (half + half.conj().T)
 
 
 def _kron_sum_apply(k, x, sign: float, out, other):
     """Write (K (x) 1 + sign 1 (x) K) x into out, for a per-sample real
-    factor K (d x d) and C-contiguous complex n x n arrays x, out and
-    other (scratch), n = d^2; returns out.
+    factor K (d x d) and C-contiguous n x n arrays x, out and other
+    (scratch) of one dtype, n = d^2; returns out.
 
     The |m1, m2> index splits as (m1, m2), so K (x) 1 acts on x as a
     (d, d n) array and 1 (x) K on each of its d row blocks; both are d x d
-    products on the float view, since real K acts on real and imaginary
-    parts alike. Costs O(n^2 d) and builds no n x n operator.
+    products on the float view, since real K acts on the real and any
+    imaginary parts alike. Costs O(n^2 d) and builds no n x n operator.
     """
     d = k.shape[0]
-    n = x.shape[0]
     xf, of, otherf = x.view(float), out.view(float), other.view(float)
-    np.matmul(k, xf.reshape(d, 2 * d * n), out=of.reshape(d, 2 * d * n))
-    np.matmul(k, xf.reshape(d, d, 2 * n), out=otherf.reshape(d, d, 2 * n))
+    np.matmul(k, xf.reshape(d, -1), out=of.reshape(d, -1))
+    np.matmul(k, xf.reshape(d, d, -1), out=otherf.reshape(d, d, -1))
     if sign > 0:
         of += otherf
     else:
@@ -189,21 +192,21 @@ def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None
     is Hermitian to the last bit.
 
     The intermediates live in scratch, a dict the first call fills with
-    n x n work arrays (five complex, three real); a run passes the same
-    dict to every step, so only the returned rate is allocated per step.
+    n x n work arrays, five in rho's dtype and three real; a run passes the
+    same dict to every step, so only the returned rate is allocated per step.
     A dozen fresh n x n temporaries per step would grow the heap and hand
     it back to the system every step, and each 4 KiB page is a fault when
     touched again. Between calls the work arrays hold nothing.
     """
     if frame.mode != "two":
         raise ValueError("the period-averaged generator needs a two-mode frame")
-    rho = np.ascontiguousarray(rho, dtype=complex)
+    rho = np.ascontiguousarray(rho)
     if scratch is None:
         scratch = {}
     if not scratch:
-        scratch["complex"] = np.empty((5,) + rho.shape, dtype=complex)
+        scratch["work"] = np.empty((5,) + rho.shape, dtype=rho.dtype)
         scratch["real"] = np.empty((3,) + rho.shape)
-    a, a_dag, inner, g, t = scratch["complex"]
+    a, a_dag, inner, g, t = scratch["work"]
     dephase, de, tr = scratch["real"]
     k, d, e = frame.jy_factor, frame.jzp_diag, -frame.jzm_diag
     _kron_sum_apply(k, rho, -1.0, a, t)
@@ -265,9 +268,13 @@ def _quarter_period_steps(spec: EvolutionSpec) -> bool:
 
 
 def countertwist_propagator(hamiltonian, delta_v: float):
-    """exp(-i H delta_v) for a Hermitian H, from its eigenvectors."""
+    """exp(-i H delta_v) for a purely imaginary Hermitian H = iA, from the
+    eigenvectors of H: the real orthogonal exp(A delta_v), returned as
+    float64 without the rounding dust of its imaginary part."""
+    if hamiltonian.real.any():
+        raise ValueError("expected a purely imaginary Hamiltonian")
     energies, vectors = np.linalg.eigh(hamiltonian)
-    return (vectors * np.exp(-1j * delta_v * energies)) @ vectors.conj().T
+    return ((vectors * np.exp(-1j * delta_v * energies)) @ vectors.conj().T).real
 
 
 def countertwisting_step(rho, propagator):
@@ -323,7 +330,7 @@ def integrate(
     if rho0.shape != (frame.dim, frame.dim):
         raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
     size = len(metas)
-    rho = np.empty((size,) + rho0.shape, dtype=complex)
+    rho = np.empty((size,) + rho0.shape, dtype=rho0.dtype)
     rho[:] = rho0
     controller = controller or FeedbackScheme("none")
     table = np.empty((size, len(columns), spec.n_steps // spec.record_stride + 1))
@@ -449,6 +456,8 @@ def evolve(
     integrate for the row, abort and diagnostic contract."""
     frame, dv = spec.frame, spec.delta_v
     averaged = _quarter_period_steps(spec)
+    if (averaged or frame.mode == "single" or spec.generator != "feedback") and not rho0.imag.any():
+        rho0 = rho0.real  # a real generator keeps a real state real
     if spec.generator != "feedback":
         propagator = countertwist_propagator(countertwist_hamiltonian(frame, spec.generator), dv)
 
@@ -467,7 +476,7 @@ def evolve(
             combined = rate
             if last_rate is not None:
                 # the rate's work arrays are free until the next call
-                combined, half_last = scratch["complex"][:2]
+                combined, half_last = scratch["work"][:2]
                 np.multiply(1.5, rate, out=combined)
                 combined -= np.multiply(0.5, last_rate, out=half_last)
             last_rate = rate

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,26 +42,31 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; the message names the field."""
 
 
+def _about(default, help: str, **flag):
+    """A SimConfig field: its default, with its CLI help and choices as metadata."""
+    return field(default=default, metadata={"help": help, **flag})
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One scenario. Defaults give the workhorse case: two samples of
     spin 5, simple feedback, unit-mean-squeezing horizon of 20."""
 
-    mode: str = "two"
-    twice_j: int = 10
-    scheme: str = "simple"
-    delta_v: float = 1e-3
-    v_max: float = 20.0
+    mode: str = _about("two", "one sample or two co-polarised samples", choices=MODES)
+    twice_j: int = _about(10, "2j per sample (integer)")
+    scheme: str = _about("simple", "gain law, countertwisting, or none", choices=SCHEMES)
+    delta_v: float = _about(1e-3, "scaled step (default 1e-3)")
+    v_max: float = _about(20.0, "scaled horizon (default 20)")
     # auto resolves to pi/(2 delta_v): a quarter frame period per step, which
     # evolve integrates as the period-averaged generator at second order
-    omega: float | str = "auto"
-    seed: int = 0
-    ensemble: int = 1
-    stride: int = 1
-    conditioned: bool = False
-    clamp: float = LAMBDA_CLAMP_DEFAULT
-    out: str | None = None
-    jobs: int = 1
+    omega: float | str = _about("auto", "frame rotation rate, or 'auto' for pi/(2 delta_v)")
+    seed: int = _about(0, "noise seed (default: $SPINLAB_SEED, then 0)")
+    ensemble: int = _about(1, "trajectory count for ensemble runs")
+    stride: int = _about(1, "record every N steps")
+    conditioned: bool = _about(False, "single record-conditioned trajectory instead of the averaged equation")
+    clamp: float = _about(LAMBDA_CLAMP_DEFAULT, "gain magnitude bound (default 1e3)")
+    out: str | None = _about(None, "CSV output path")
+    jobs: int = _about(1, "parallel worker cap for fan-out commands")
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -72,15 +77,15 @@ class SimConfig:
             raise ConfigError(f"scheme: expected one of {SCHEMES}, got {self.scheme!r}")
         if not (0 < self.delta_v <= 0.1):
             raise ConfigError(f"delta-v: need 0 < delta_v <= 0.1, got {self.delta_v!r}")
-        if not self.v_max > 0 or self.delta_v > self.v_max:
-            raise ConfigError(f"v-max: need v_max >= delta_v > 0, got {self.v_max!r}")
+        if not 0 < self.v_max < math.inf or self.delta_v > self.v_max:
+            raise ConfigError(f"v-max: need a finite v_max >= delta_v > 0, got {self.v_max!r}")
         if self.omega != "auto":
             try:
                 omega = float(self.omega)
             except (TypeError, ValueError):
                 raise ConfigError(f"omega: need a number or 'auto', got {self.omega!r}") from None
-            if omega < 0:
-                raise ConfigError(f"omega: need a non-negative value, got {omega!r}")
+            if not 0 <= omega < math.inf:
+                raise ConfigError(f"omega: need a finite non-negative value, got {omega!r}")
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
             raise ConfigError(f"seed: need a 64-bit non-negative integer, got {self.seed!r}")
         if not isinstance(self.ensemble, int) or self.ensemble < 1:
@@ -193,10 +198,10 @@ def parse_config_text(text: str) -> dict:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        field = key.replace("-", "_")
-        if field not in _FIELD_TYPES:
+        name = key.replace("-", "_")
+        if name not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        overrides[field] = coerce(field, raw)
+        overrides[name] = coerce(name, raw)
     return overrides
 
 

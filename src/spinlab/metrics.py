@@ -88,7 +88,7 @@ def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=Fa
     row[0] = v
     row[1] = zeta
     row[2] = chi
-    row[3] = np.add.reduce(rho.real**2 + rho.imag**2, axis=(-2, -1))
+    row[3] = np.add.reduce(rho.real**2 + rho.imag**2 if np.iscomplexobj(rho) else rho**2, axis=(-2, -1))
     row[4] = lam
     row[5] = squeezing_xi2(zeta, chi)
     row[6] = zeta < chi

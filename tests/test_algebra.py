@@ -128,6 +128,38 @@ def test_two_mode_per_sample_factors_are_exact(twice_j):
     assert not hasattr(single_mode_frame(twice_j), "jy_factor")
 
 
+@pytest.mark.parametrize("twice_j", (1, 4))
+def test_real_operators_are_float64(twice_j):
+    frames = ((single_mode_frame(twice_j), (0.0,)), (two_mode_frame(twice_j, omega=math.pi / 2e-3), (0.0, 1e-3)))
+    for fr, nodes in frames:
+        real = [fr.x_op, fr.x2_op, fr.zeta_op, fr.zc_op]
+        for v in nodes:
+            real += [fr.z2_at(v), fr.y2_at(v), fr.zxz_at(v)]
+        assert all(op.dtype == float for op in real)
+        # the imaginary ones stay complex: J_y, and ZY + YZ
+        assert fr.y_at(0.0).dtype == fr.zy_anti_at(0.0).dtype == complex
+    single = single_mode_frame(twice_j)
+    m = spin_matrices(twice_j)
+    assert single.k_at(0.5).dtype == single.s_at(0.5).dtype == float
+    assert np.array_equal(1j * single.k_at(0.5), m.jy)
+    assert np.array_equal(1j * single.s_at(0.5), single.zy_anti_at(0.5))
+
+
+@pytest.mark.parametrize("twice_j", (5, 9))
+def test_x2_op_has_the_complex_product_bits(twice_j):
+    # the complex runs' optimal-law bytes rest on (J_x^+)^2 summed as the
+    # complex product sums it; the real product differs at these sizes
+    fr = two_mode_frame(twice_j, omega=7.3)
+    x = fr.x_op.astype(complex)
+    assert np.array_equal(fr.x2_op.view(np.uint64), np.ascontiguousarray((x @ x).real).view(np.uint64))
+
+
+def test_measurement_frame_refuses_imaginary_jz():
+    m = spin_matrices(2)
+    with pytest.raises(ValueError):
+        MeasurementFrame(m.jx, m.jy, m.jy, twice_j=2)
+
+
 def test_two_mode_frame_builds_operators_on_first_read():
     import pickle
 

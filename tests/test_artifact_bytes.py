@@ -84,20 +84,20 @@ def artifact_hashes(out) -> dict:
 
 
 EXPECTED = {
-    "aborted-averaged.csv": "3c403d75a6b5e2febc6819424a3ca28202ee7bc337e53e681e43e381ba9623be",
+    "aborted-averaged.csv": "7ad401d35d857cf0f34dfabe326ead56b984bd94715ea4a468e10f07ba7e0c2d",
     "aborted-conditioned.csv": "17c2c9f6f590b7860b6b554141b4966f010971b2a6c6721eac2c27478d7e8f85",
-    "averaged-two.csv": "cd1d196c96bc64ad16ce482dd0b148afbf0b1b2ca20c42f3643ad223bf37f1db",
+    "averaged-two.csv": "de1cd4ef2ae139f2449404d079e2b1855d3038f528eb47a33ced819888f4c5c0",
     "conditioned.csv": "967cfcb3a6d4680848a0e59335775a53882fcf4928bc1538e76b2e45c280c122",
-    "countertwist-single.csv": "4440bef4e846427297ac852c8e49962ff97c02d3a6fe836ee3901f2bb30d5d37",
-    "countertwist-two.csv": "e8de615aca741ac13bab102b8178e6b8cd677345d384919b20e5f18a4ab6fb26",
+    "countertwist-single.csv": "93244e453f4cca04a0c0a8397b0c77385c0c6b71b3eb4ae41e234a8fe3f66246",
+    "countertwist-two.csv": "fa96efc20c002516d2e1315a7a18d4947dee2c5e80b0b2fbb5d14fb2fa8a2fc3",
     "ens_mean.csv": "85179edb1aea4b632f8b8ecb455b7e97a0fd993dde3c85f5d3354ee843eaf900",
     "ens_t0.csv": "5217404e2f44b9887e9af5b10efeed905a78972596c4658d9997d0b36a65b3b9",
     "ens_t1.csv": "16d29c90cb166b90c34e30acd482a9949592b2c79c8562941a90e175fd3aa6ca",
     "ens_t2.csv": "0582cbd474265d9bbf99b4c2aa7cc4d8d8e3f1b8a590b1c561053a995231195e",
-    "euler-single.csv": "309c40002cec2d15f31c0d567771da6ceb377865a2d956254dfae06b8a140d2c",
+    "euler-single.csv": "3411cd009efaa5e103bf3fd2d38f92f68c486e134a756d02f4603f3948bad879",
     "euler-two-optimal.csv": "e3e7c964ad9d3a489e5c5336fd4470409769cbf9494bfec3f77c840467a417a6",
-    "frontier.csv": "71200d241a05d9387eb61ead1d36d77e825a3db5e514813cd3635002e73206e2",
-    "sweep.csv": "503bad5f3470ecc328327fd89a14537341021a69ca9eddc96e09236f7e7d074d",
+    "frontier.csv": "7123e942a059be067e4a4b9f804637d8782ad1c975f392e10ef00df64e2b26a1",
+    "sweep.csv": "00244df24018b9d9cdd928f5185068bf1824388a402981ad22ba76466109655f",
 }
 
 

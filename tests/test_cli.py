@@ -44,10 +44,13 @@ def test_config_errors_exit_two(capsys):
         (["frontier", "--mode", "two", "--twice-j", "2", "--n-mu", "-3"], "n-mu"),
         (["sweep", "--mode", "two", "--scheme", "simple", "--twice-j", "1", "--jobs", "0"], "jobs"),
         (["figure", "fig5", "--jobs", "-2"], "jobs"),
+        (["run", "--v-max", "inf"], "v-max"),
+        (["run", "--omega", "nan"], "omega"),
     ],
     ids=[
         "sweep-delta-v", "sweep-twice-j", "optimal-states-twice-j", "frontier-twice-j",
         "frontier-n-mu-zero", "frontier-n-mu-negative", "sweep-jobs", "figure-jobs",
+        "run-v-max-inf", "run-omega-nan",
     ],
 )
 def test_bad_input_exits_two(argv, field, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import css_rho, random_density
 
+from spinlab import dynamics, stochastic
 from spinlab.algebra import single_mode_frame, spin_matrices, two_mode_frame
 from spinlab.dynamics import (
     EvolutionSpec,
@@ -20,6 +21,7 @@ from spinlab.dynamics import (
     unconditioned_step,
 )
 from spinlab.feedback import FeedbackScheme
+from spinlab.harness import SimConfig, run_scenario
 
 
 def test_dissipator_matches_definition():
@@ -271,3 +273,146 @@ def test_spec_validation():
         EvolutionSpec(frame=fr, delta_v=0.05, v_max=0.01)
     with pytest.raises(ValueError):
         EvolutionSpec(frame=fr, record_stride=0)
+
+
+# ------------------------------------------------ real arithmetic on real paths
+
+
+def _real_density(dim: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).normal(size=(dim, dim))
+    rho = a @ a.T
+    return rho / np.trace(rho)
+
+
+def _rate_before_k_and_s(frame, rho, v, lam):
+    """feedback_rate as written with Y and ZY + YZ: r = Z - iLY and the drive
+    -i(L/2)[ZY + YZ, rho], the products in the same order."""
+    z, z2, y, y2, anti = frame.z_at(v), frame.z2_at(v), frame.y_at(v), frame.y2_at(v), frame.zy_anti_at(v)
+    r = z - 1j * lam * y
+    rdr = z2 + (lam * lam) * y2 - lam * frame.x_op
+    sandwich = (r @ rho) @ r.conj().T
+    half = rdr @ rho
+    drive = anti @ rho
+    return (-0.5j * lam) * (drive - drive.conj().T) + sandwich - 0.5 * (half + half.conj().T)
+
+
+@pytest.mark.parametrize("lam", (0.0, 0.7, -1.3, 4.0))
+@pytest.mark.parametrize("twice_j", (1, 2, 3, 10))
+def test_real_averaged_rate_is_the_real_part_of_the_complex_one(twice_j, lam):
+    fr = two_mode_frame(twice_j, omega=math.pi / 2e-3)
+    rho = _real_density(fr.dim, seed=twice_j)
+    full = averaged_rate(fr, rho.astype(complex), lam)
+    real = averaged_rate(fr, rho, lam)
+    assert real.dtype == float
+    assert not full.imag.any()
+    assert np.array_equal(real.view(np.uint64), np.ascontiguousarray(full.real).view(np.uint64))
+
+
+@pytest.mark.parametrize("lam", (0.0, 0.7, -1.3, 4.0))
+@pytest.mark.parametrize("v", (0.0, 0.0123, 0.4, 1.7))
+def test_k_and_s_rate_equals_the_y_form_bit_for_bit(v, lam):
+    # a finite-omega two-mode frame steps a complex state; its bytes must not move
+    for twice_j in (2, 4):
+        fr = two_mode_frame(twice_j, omega=7.3)
+        rho = random_density(fr.dim, seed=twice_j)
+        got, want = feedback_rate(fr, rho, v, lam), _rate_before_k_and_s(fr, rho, v, lam)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("twice_j", (2, 6, 10, 20))
+def test_single_mode_rate_on_a_real_state_is_real(twice_j):
+    fr = single_mode_frame(twice_j)
+    rho = _real_density(fr.dim, seed=twice_j)
+    for lam in (0.0, 0.7, -1.3):
+        real = feedback_rate(fr, rho, 0.3, lam)
+        full = _rate_before_k_and_s(fr, rho.astype(complex), 0.3, lam)
+        assert real.dtype == float
+        assert np.abs(full.imag).max() == 0.0
+        assert np.abs(real - full.real).max() <= 1e-14 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("mode, twice_j", (("two", 2), ("two", 4), ("single", 4), ("single", 10)))
+def test_countertwist_propagator_is_real_orthogonal(mode, twice_j):
+    fr = two_mode_frame(twice_j, omega=1.0) if mode == "two" else single_mode_frame(twice_j)
+    h = countertwist_hamiltonian(fr, f"countertwist-{mode}")
+    energies, vectors = np.linalg.eigh(h)
+    full = (vectors * np.exp(-1j * 1e-3 * energies)) @ vectors.conj().T
+    u = countertwist_propagator(h, 1e-3)
+    assert u.dtype == float
+    assert np.abs(u - full).max() < 1e-13
+    assert np.abs(u.T @ u - np.eye(fr.dim)).max() < 1e-13
+
+
+def test_countertwist_propagator_needs_an_imaginary_hamiltonian():
+    with pytest.raises(ValueError):
+        countertwist_propagator(np.diag([1.0, -1.0]).astype(complex), 1e-3)
+
+
+def _watch_stacks(monkeypatch, dtype=None):
+    """Record the dtype of every stack the step loop hands a step; with
+    dtype given, the loop starts from rho0 cast to it."""
+    seen = set()
+    loop = dynamics.integrate
+
+    def watched(rho0, spec, controller, step, *args, **kwargs):
+        def spied(rho, *rest):
+            seen.add(rho.dtype)
+            return step(rho, *rest)
+
+        start = rho0 if dtype is None else rho0.astype(dtype)
+        return loop(start, spec, controller, spied, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", watched)
+    monkeypatch.setattr(stochastic, "integrate", watched)
+    return seen
+
+
+_REAL_PATHS = {
+    "averaged-two": dict(mode="two", twice_j=4, scheme="simple", v_max=2.0),
+    "averaged-two-optimal": dict(mode="two", twice_j=4, scheme="optimal", v_max=2.0),
+    "euler-single": dict(mode="single", twice_j=6, scheme="simple", v_max=2.0),
+    "countertwist-two": dict(mode="two", twice_j=4, scheme="countertwist", v_max=1.0),
+    "countertwist-single": dict(mode="single", twice_j=6, scheme="countertwist", v_max=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_PATHS))
+def test_real_run_matches_complex_stepped_run(name, monkeypatch):
+    config = SimConfig(stride=10, **_REAL_PATHS[name])
+    seen = _watch_stacks(monkeypatch)
+    real = evolve(config.initial_state(), config.spec(), config.controller())
+    assert seen == {np.dtype(float)}
+    monkeypatch.undo()
+    seen = _watch_stacks(monkeypatch, complex)
+    full = evolve(config.initial_state(), config.spec(), config.controller())
+    assert seen == {np.dtype(complex)}
+    assert real.ok and full.ok and real.n_rows == full.n_rows
+    # zeta < chi flips wherever the two tie to rounding, as at the coherent start
+    tied = np.abs(full.column("zeta") - full.column("chi")) < 1e-12
+    assert np.array_equal(real.column("entangled")[~tied], full.column("entangled")[~tied])
+    for column, want in full.columns.items():
+        if column == "entangled":
+            continue
+        got, finite = real.column(column), np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite), column
+        assert np.abs(got - want)[finite].max() <= 1e-12 * np.abs(want[finite]).max(), column
+
+
+@pytest.mark.parametrize(
+    "kw, dtype",
+    [
+        (dict(mode="two", twice_j=2, scheme="simple"), float),
+        (dict(mode="single", twice_j=2, scheme="analytic"), float),
+        (dict(mode="two", twice_j=2, scheme="countertwist"), float),
+        (dict(mode="single", twice_j=2, scheme="countertwist"), float),
+        (dict(mode="two", twice_j=2, scheme="optimal", omega=7.3), complex),
+        (dict(mode="two", twice_j=2, scheme="simple-conditioned", conditioned=True), complex),
+        (dict(mode="single", twice_j=2, scheme="simple-conditioned", conditioned=True), complex),
+    ],
+    ids=["averaged", "euler-single", "countertwist-two", "countertwist-single", "euler-omega", "cond-two",
+         "cond-single"],
+)
+def test_stack_dtype_follows_the_generator(kw, dtype, monkeypatch):
+    seen = _watch_stacks(monkeypatch)
+    assert run_scenario(SimConfig(v_max=0.05, stride=10, **kw)).ok
+    assert seen == {np.dtype(dtype)}
