@@ -361,15 +361,44 @@ def two_mode_frame(twice_j: int, omega: float) -> MeasurementFrame:
     return TwoModeFrame(twice_j, omega)
 
 
-def expect_real(op: np.ndarray, rho: np.ndarray):
+def expect_real(op: np.ndarray, rho):
     """Tr[op rho] for Hermitian op and rho (imag part is rounding noise);
     a real dot when both are float64.
 
     rho is one n x n state or a (B, n, n) stack. The result is a float for
     one state, a stack of one included, and a (B,) array for a larger
     stack, each member's value bit for bit the one np.vdot gives for that
-    state alone.
+    state alone. rho may also be the Moments of a state or stack, whose
+    read of op is returned.
     """
+    if isinstance(rho, Moments):
+        return rho(op)
     if rho.size == op.size:
         return float(np.vdot(rho, op).real)
     return np.vecdot(rho.reshape(len(rho), -1), op.reshape(-1)).real
+
+
+class Moments:
+    """The moment read of a state or (B, n, n) stack rho: read(op) is
+    expect_real(op, rho), computed once per operator. Operators are told
+    apart by identity and held while the read lives, so no temporary can
+    hand its id on; a blend built twice is read twice, to the same bits."""
+
+    __slots__ = ("rho", "_seen")
+
+    def __init__(self, rho):
+        self.rho = rho
+        self._seen = []  # (operator, value) in order of first read
+
+    def __call__(self, op):
+        for known, value in self._seen:
+            if known is op:
+                return value
+        value = expect_real(op, self.rho)
+        self._seen.append((op, value))
+        return value
+
+
+def moments_of(rho) -> Moments:
+    """rho if it is a moment read, else a fresh read of the state or stack rho."""
+    return rho if isinstance(rho, Moments) else Moments(rho)

@@ -13,10 +13,10 @@ to the measurement record; the laws below choose the proportionality:
 * spin1-analytic     1/sqrt(2 exp(v) - 1), the closed form the simple
                      ratio takes on the exactly-solvable spin-1 flow
 
-The state-dependent laws read one n x n state or a (B, n, n) stack of
-them; on a stack they return one gain per member, each bit for bit the
-gain that member alone would get. The schedules return one float either
-way.
+The state-dependent laws read one n x n state, a (B, n, n) stack of them,
+or the step's Moments, which the metrics row and the step share. On a
+stack they return one gain per member, each bit for bit the gain that
+member alone would get. The schedules return one float either way.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MeasurementFrame, expect_real
+from .algebra import MeasurementFrame, moments_of
 
 LAMBDA_CLAMP_DEFAULT = 1e3
 
@@ -52,11 +52,11 @@ class ClampFlags(np.ndarray):
         return int(np.count_nonzero(self))
 
 
-def _node_mean(moment, v) -> float:
-    """moment(v), or its mean over v when v is a tuple of frame-node times."""
+def _node_mean(read, op_at, v) -> float:
+    """read(op_at(v)), or its mean over v when v is a tuple of frame-node times."""
     if isinstance(v, tuple):
-        return sum(moment(t) for t in v) / len(v)
-    return moment(v)
+        return sum(read(op_at(t)) for t in v) / len(v)
+    return read(op_at(v))
 
 
 def _ratio(num, mx):
@@ -73,30 +73,34 @@ def _ratio(num, mx):
 def moment_block(rho, frame: MeasurementFrame, v):
     """The four moments every state-dependent law consumes:
     d = <X^2 - Z^2>, e = <4 Z X Z + X>, f = <X>/2, g = 2<Z^2>."""
-    mx = expect_real(frame.x_op, rho)
-    mz2 = _node_mean(lambda t: expect_real(frame.z2_at(t), rho), v)
-    d = expect_real(frame.x2_op, rho) - mz2
-    e = 4.0 * _node_mean(lambda t: expect_real(frame.zxz_at(t), rho), v) + mx
+    read = moments_of(rho)
+    mx = read(frame.x_op)
+    mz2 = _node_mean(read, frame.z2_at, v)
+    d = read(frame.x2_op) - mz2
+    e = 4.0 * _node_mean(read, frame.zxz_at, v) + mx
     return d, e, 0.5 * mx, 2.0 * mz2
 
 
 def lambda_simple(rho, frame: MeasurementFrame, v) -> float:
     """Measured second moment over polarisation; diverges as the spin
     depolarises."""
-    mz2 = _node_mean(lambda t: expect_real(frame.z2_at(t), rho), v)
-    return _ratio(2.0 * mz2, expect_real(frame.x_op, rho))
+    read = moments_of(rho)
+    return _ratio(2.0 * _node_mean(read, frame.z2_at, v), read(frame.x_op))
 
 
-def _conditional_variance(rho, frame: MeasurementFrame, t: float) -> float:
-    mz = expect_real(frame.z_at(t), rho)
-    return expect_real(frame.z2_at(t), rho) - mz * mz
+def _conditional_variance(read, frame: MeasurementFrame, v) -> float:
+    """<Z^2> - <Z>^2, or its mean over v when v is a tuple of frame-node times."""
+    if isinstance(v, tuple):
+        return sum(_conditional_variance(read, frame, t) for t in v) / len(v)
+    mz = read(frame.z_at(v))
+    return read(frame.z2_at(v)) - mz * mz
 
 
 def lambda_simple_conditioned(rho, frame: MeasurementFrame, v) -> float:
     """Conditional-variance form: on a conditioned state the regulated
     mean carries no squeezing information, so it is subtracted."""
-    var = _node_mean(lambda t: _conditional_variance(rho, frame, t), v)
-    return _ratio(2.0 * var, expect_real(frame.x_op, rho))
+    read = moments_of(rho)
+    return _ratio(2.0 * _conditional_variance(read, frame, v), read(frame.x_op))
 
 
 def lambda_analytic(v: float, spin_j: float, mode: str) -> float:
@@ -161,7 +165,8 @@ class FeedbackScheme:
             raise ValueError("clamp must be positive")
 
     def gain(self, rho, frame: MeasurementFrame, v):
-        """(gain, clamped) for the current state and time.
+        """(gain, clamped) for the current state and time; rho is one
+        state, a (B, n, n) stack, or the Moments of either.
 
         v may also be a tuple of frame-node times, the current time
         first: the state-dependent laws then read the mean of their

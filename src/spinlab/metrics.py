@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MeasurementFrame, expect_real
+from .algebra import MeasurementFrame, moments_of
 
 # below this polarisation the squeezing ratio is meaningless; report NaN
 CHI_FLOOR = 1e-6
@@ -68,31 +68,33 @@ def squeezing_xi2(zeta, chi):
 def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=False) -> MetricsRow:
     """Score a state, or each member of a (B, n, n) stack, against the
     frame's reduced variance and polarisation; lam may be one gain or one
-    per member.
+    per member. rho may also be the Moments of either, whose reads are
+    shared with the other readers of the step.
 
     For conditioned states the variance is taken about the conditional
     means of the slow quadratures (the means carry no squeezing
     information; the record-driven state walks them randomly).
     """
-    raw = expect_real(frame.zeta_op, rho)
-    chi = expect_real(frame.x_op, rho) / frame.chi_norm
-    row = np.empty((len(METRIC_COLUMNS) if conditioned else len(PLAIN_COLUMNS),) + rho.shape[:-2])
-    if conditioned:
-        row[8] = expect_real(frame.zc_op, rho)
-        row[9] = expect_real(frame.yc_op, rho)
-        for w, mean in zip(frame.zeta_weights, row[8:]):
-            # float_power is C pow, as Python's float ** is; a square can
-            # round differently from it in the last bit
-            raw = raw - w * np.float_power(mean, 2.0)
+    read = moments_of(rho)
+    rho = read.rho
+    raw = read(frame.zeta_op)
+    chi = read(frame.x_op) / frame.chi_norm
+    means = (read(frame.zc_op), read(frame.yc_op)) if conditioned else ()
+    for w, mean in zip(frame.zeta_weights, means):
+        # float_power is C pow, as Python's float ** is; a square can
+        # round differently from it in the last bit
+        raw = raw - w * np.float_power(mean, 2.0)
     zeta = raw / frame.zeta_norm
-    row[0] = v
-    row[1] = zeta
-    row[2] = chi
-    row[3] = np.add.reduce(rho.real**2 + rho.imag**2 if np.iscomplexobj(rho) else rho**2, axis=(-2, -1))
-    row[4] = lam
-    row[5] = squeezing_xi2(zeta, chi)
-    row[6] = zeta < chi
-    row[7] = expect_real(frame.z2_at(v), rho)
+    purity = np.add.reduce(rho.real**2 + rho.imag**2 if rho.dtype.kind == "c" else rho**2, axis=(-2, -1))
+    values = [v, zeta, chi, purity, lam, squeezing_xi2(zeta, chi), zeta < chi, read(frame.z2_at(v)), *means]
+    shape = (len(values),) + rho.shape[:-2]
+    if purity.size == 1 and not isinstance(lam, np.ndarray):
+        # one state, so one number per column: the row fills in one pass
+        values[3] = purity.item()
+        return MetricsRow(np.fromiter(values, float, len(values)).reshape(shape))
+    row = np.empty(shape)
+    for i, x in enumerate(values):
+        row[i] = x
     return MetricsRow(row)
 
 

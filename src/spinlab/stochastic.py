@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import MeasurementFrame, expect_real
+from .algebra import MeasurementFrame, moments_of
 from .dynamics import EvolutionSpec, integrate
 from .feedback import FeedbackScheme
 from .metrics import METRIC_COLUMNS, compute_metrics
@@ -88,12 +88,15 @@ def _per_state(x):
 
 def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float, dw):
     """One stochastic step; returns (new rho, record increment, trace
-    before renorm). rho is one state or a (B, n, n) stack; lam and dw are
-    then scalars or one per member, and the record increment and trace
-    come back one per member."""
+    before renorm). rho is one state or a (B, n, n) stack, or the Moments
+    of either, which the step reads <Z> from; lam and dw are then scalars
+    or one per member, and the record increment and trace come back one
+    per member."""
+    read = moments_of(rho)
+    rho = read.rho
     z = frame.z_at(v)
     z2 = frame.z2_at(v)
-    mz = expect_real(z, rho)
+    mz = read(z)
     dy = 2.0 * mz * delta_v + dw
 
     zr = z @ rho
@@ -147,14 +150,14 @@ def trajectory_batch(
     noise = np.empty((len(streams), NOISE_BLOCK))
     steps = 0
 
-    def step(rho, v, lam, live):
+    def step(rho, v, lam, live, read):
         nonlocal steps
         col = steps % NOISE_BLOCK
         if col == 0:
             for i in runs[live]:
                 noise[i] = streams[i].increments(dv, NOISE_BLOCK)
         steps += 1
-        rho, _, trace = conditioned_step(rho, frame, v, lam, dv, noise[live, col])
+        rho, _, trace = conditioned_step(read, frame, v, lam, dv, noise[live, col])
         return rho, trace
 
     metas = [{"conditioned": True, "seed": seed, "traj_index": i} for i in traj_indices]

@@ -7,6 +7,7 @@ import pytest
 
 from spinlab.algebra import (
     MeasurementFrame,
+    Moments,
     SpinQuantum,
     coherent_spin_state,
     expect_real,
@@ -268,3 +269,40 @@ def test_expect_real_matches_trace(rng):
     m = spin_matrices(4)
     want = np.trace(m.jx @ rho).real
     assert expect_real(m.jx, rho) == pytest.approx(want, abs=1e-13)
+
+
+def _states(dim: int, dtype, batch):
+    """One random state, or a (batch, dim, dim) stack of them, of dtype."""
+    rng = np.random.default_rng(dim + (batch or 0))
+    out = []
+    for _ in range(batch or 1):
+        a = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if dtype is complex else 0.0)
+        rho = a @ a.conj().T
+        out.append(rho / np.trace(rho).real)
+    return np.stack(out) if batch else out[0]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("batch", (None, 3), ids=["state", "stack"])
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("omega, times", ((math.pi / 2e-3, (0.0, 1e-3, 2e-3, 3e-3)), (7.3, (0.0123, 0.4))),
+                         ids=["nodes", "off-node"])
+def test_moment_read_keeps_the_bits_of_each_expectation(omega, times, dtype, batch):
+    fr = two_mode_frame(2, omega)
+    rho = _states(fr.dim, dtype, batch)
+    read = Moments(rho)
+    ops = [fr.x_op, fr.x2_op, fr.zeta_op, fr.zc_op, fr.yc_op]
+    ops += [op_at(t) for t in times for op_at in (fr.z_at, fr.z2_at, fr.zxz_at)]
+    for op in ops + ops:  # the second pass reads what the first computed
+        want = expect_real(op, rho)
+        assert np.array_equal(_bits(read(op)), _bits(want))
+        assert np.array_equal(_bits(expect_real(op, read)), _bits(want))
+    # a temporary operator dropped after its read cannot pass its id on to
+    # the next one: the read holds it
+    z, y2 = fr.z_at(times[-1]), fr.y2_at(times[-1])
+    first, second = read(z.copy()), read(y2.copy())
+    assert np.array_equal(_bits(first), _bits(expect_real(z, rho)))
+    assert np.array_equal(_bits(second), _bits(expect_real(y2, rho)))

@@ -94,7 +94,7 @@ EXPECTED = {
     "ens_t0.csv": "5217404e2f44b9887e9af5b10efeed905a78972596c4658d9997d0b36a65b3b9",
     "ens_t1.csv": "16d29c90cb166b90c34e30acd482a9949592b2c79c8562941a90e175fd3aa6ca",
     "ens_t2.csv": "0582cbd474265d9bbf99b4c2aa7cc4d8d8e3f1b8a590b1c561053a995231195e",
-    "euler-single.csv": "3411cd009efaa5e103bf3fd2d38f92f68c486e134a756d02f4603f3948bad879",
+    "euler-single.csv": "601f4a2abad4e1bd664dec88b0a2a8e55959067c534edc397a04075563d8d439",
     "euler-two-optimal.csv": "e3e7c964ad9d3a489e5c5336fd4470409769cbf9494bfec3f77c840467a417a6",
     "frontier.csv": "7123e942a059be067e4a4b9f804637d8782ad1c975f392e10ef00df64e2b26a1",
     "sweep.csv": "00244df24018b9d9cdd928f5185068bf1824388a402981ad22ba76466109655f",

@@ -1,14 +1,15 @@
 """Deterministic evolution: superoperators, the optimized generator, and
 the integrator's recording/abort behaviour."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from conftest import css_rho, random_density
 
-from spinlab import dynamics, stochastic
-from spinlab.algebra import single_mode_frame, spin_matrices, two_mode_frame
+from spinlab import algebra, dynamics, feedback, metrics, stochastic
+from spinlab.algebra import Moments, single_mode_frame, spin_matrices, two_mode_frame
 from spinlab.dynamics import (
     EvolutionSpec,
     averaged_rate,
@@ -42,6 +43,16 @@ def test_dissipator_spin_half_coherence_decay():
     assert np.abs(dissipator(m.jz, rho) - want).max() < 1e-14
 
 
+def _plain_rate(fr, rho, v, lam):
+    """The scaled master equation built naively from the public frame
+    operators and dense products."""
+    z, y = fr.z_at(v), fr.y_at(v)
+    r = z - 1j * lam * y
+    rd = r.conj().T
+    h = 0.5 * lam * (z @ y + y @ z)
+    return -1j * (h @ rho - rho @ h) + r @ rho @ rd - 0.5 * (rd @ r @ rho + rho @ rd @ r)
+
+
 @pytest.mark.parametrize("lam", (0.0, 0.7, -1.3, 4.0))
 @pytest.mark.parametrize("v", (0.0, 1e-3, 3e-3, 0.0071234))
 def test_feedback_rate_matches_plain_assembly(v, lam):
@@ -49,16 +60,29 @@ def test_feedback_rate_matches_plain_assembly(v, lam):
     naively from the public frame operators and dense products."""
     fr = two_mode_frame(2, omega=math.pi / (2e-3))
     rho = random_density(9, seed=11)
-    z, y = fr.z_at(v), fr.y_at(v)
-    r = z - 1j * lam * y
-    rd = r.conj().T
-    h = 0.5 * lam * (z @ y + y @ z)
-    want = (
-        -1j * (h @ rho - rho @ h)
-        + r @ rho @ rd
-        - 0.5 * (rd @ r @ rho + rho @ rd @ r)
-    )
-    assert np.abs(feedback_rate(fr, rho, v, lam) - want).max() < 1e-12
+    assert np.abs(feedback_rate(fr, rho, v, lam) - _plain_rate(fr, rho, v, lam)).max() < 1e-12
+
+
+@pytest.mark.parametrize("lam", (0.0, 0.7, -1.3, 4.0))
+@pytest.mark.parametrize("frame", ("single-2", "single-6", "single-20", "two-2-omega", "two-4-omega"))
+def test_three_product_rate_matches_the_dense_assembly(frame, lam):
+    # the static frame steps real states; an omega = 7.3 frame steps complex ones off its nodes
+    mode, twice_j = frame.split("-")[:2]
+    twice_j = int(twice_j)
+    if mode == "single":
+        fr, v = single_mode_frame(twice_j), 0.3
+        rho = _real_density(fr.dim, seed=twice_j)
+    else:
+        fr, v = two_mode_frame(twice_j, omega=7.3), 0.4
+        rho = random_density(fr.dim, seed=twice_j)
+    got = feedback_rate(fr, rho, v, lam)
+    want = _plain_rate(fr, rho, v, lam)
+    assert got.dtype == rho.dtype
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # Hermitian to the last bit, so the Euler step's re-Hermitization is a no-op
+    assert np.array_equal(got, got.conj().T)
+    again = 0.5 * (got + got.conj().T)
+    assert np.array_equal(again.view(np.uint64), got.view(np.uint64))
 
 
 @pytest.mark.parametrize("lam", (0.0, 0.7, -1.3, 4.0))
@@ -311,12 +335,34 @@ def test_real_averaged_rate_is_the_real_part_of_the_complex_one(twice_j, lam):
 @pytest.mark.parametrize("lam", (0.0, 0.7, -1.3, 4.0))
 @pytest.mark.parametrize("v", (0.0, 0.0123, 0.4, 1.7))
 def test_k_and_s_rate_equals_the_y_form_bit_for_bit(v, lam):
-    # a finite-omega two-mode frame steps a complex state; its bytes must not move
+    # the three-product rate rounds differently from the four-product Y form,
+    # so it matches it to 1e-12 here; test_feedback_rate_bytes_are_pinned
+    # holds its own bytes
     for twice_j in (2, 4):
         fr = two_mode_frame(twice_j, omega=7.3)
         rho = random_density(fr.dim, seed=twice_j)
         got, want = feedback_rate(fr, rho, v, lam), _rate_before_k_and_s(fr, rho, v, lam)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# sha256 of feedback_rate's bytes on fixed inputs; like the golden artifacts
+# they pin this build's floating point
+_RATE_SHA256 = {
+    "single-6": "376649a3bc332f29b2a11548f2551754dda8a62db76cd3f3131b36fdd150c542",
+    "two-2-omega": "10bf02533a5b331738865e7e7376221dcffe91e7410bf6003bf25b86568f50ca",
+}
+
+
+@pytest.mark.parametrize("frame", sorted(_RATE_SHA256))
+def test_feedback_rate_bytes_are_pinned(frame):
+    if frame == "single-6":
+        fr = single_mode_frame(6)
+        rho = _real_density(fr.dim, seed=6)
+    else:
+        fr = two_mode_frame(2, omega=7.3)
+        rho = random_density(fr.dim, seed=2)
+    rate = feedback_rate(fr, rho, 0.4, 0.7)
+    assert hashlib.sha256(rate.tobytes()).hexdigest() == _RATE_SHA256[frame]
 
 
 @pytest.mark.parametrize("twice_j", (2, 6, 10, 20))
@@ -416,3 +462,41 @@ def test_stack_dtype_follows_the_generator(kw, dtype, monkeypatch):
     seen = _watch_stacks(monkeypatch)
     assert run_scenario(SimConfig(v_max=0.05, stride=10, **kw)).ok
     assert seen == {np.dtype(dtype)}
+
+
+def _count_expectations(monkeypatch) -> list:
+    """Patch every module's expect_real to log each expectation computed
+    from a state or stack; a read that a Moments answers is not logged."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(op, rho):
+            if not isinstance(rho, Moments):
+                calls.append(op)
+            return fn(op, rho)
+
+        return wrapper
+
+    for module in (algebra, dynamics, feedback, metrics, stochastic):
+        if hasattr(module, "expect_real"):
+            monkeypatch.setattr(module, "expect_real", counted(module.expect_real))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kw, per_row, per_step",
+    [
+        (dict(mode="single", twice_j=4, scheme="simple"), 3, 2),
+        (dict(mode="two", twice_j=2, scheme="simple"), 4, 3),
+        (dict(mode="single", twice_j=2, scheme="simple-conditioned", conditioned=True), 5, 3),
+    ],
+    ids=["single-simple", "two-node", "cond-spin1"],
+)
+def test_each_step_computes_each_expectation_once(kw, per_row, per_step, monkeypatch):
+    # per recorded step: the gain law, the metrics row and the conditioned
+    # step share one read, so <X> and <Z^2> are computed once, not twice
+    calls = _count_expectations(monkeypatch)
+    for stride, rows in ((1, 21), (10, 3)):
+        calls.clear()
+        assert run_scenario(SimConfig(v_max=0.02, stride=stride, **kw)).n_rows == rows
+        assert len(calls) == rows * per_row + (21 - rows) * per_step, stride
