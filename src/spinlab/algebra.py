@@ -13,15 +13,20 @@ probe couples to
 
 with the static mean-spin component X = J_x^(+) satisfying
 [Z(v), Y(v)] = -iX at every v. The single-mode frame is the static
-triple Z = J_z, Y = J_y, X = J_x. Each quadratic combination that the
-integrators need every step (Z^2, Y^2, ZY+YZ, ZXZ) is a blend
+triple Z = J_z, Y = J_y, X = J_x. A frame is read at a time through one
+call, frame.at(v), which returns the operators at v as one lazy bundle:
+Z, Y and K = -iY, each c P_c + s P_s, and the quadratics the integrators
+need every step (Z^2, Y^2, ZY + YZ, ZXZ, S = -i(ZY + YZ)), each a blend
 c^2 P_c + s^2 P_s + cs P_cs of three constant products: the cosine
 pair's, the sine pair's and their cross term. So a step costs O(dim^2)
 on top of the generator's own products. Each dense operator and each
 product is a named frame attribute built on first use. On a frame node
 a read returns P_c or P_s as built, so a run whose steps all land on
 nodes never builds a cross term, and a frame that is only inspected
-builds none. zeta_op sums the same Z^2 products.
+builds none. The frame holds the last bundle and hands it out again at
+the same phase, so the readers of one step share each blend; the static
+frame's phase never moves, so one bundle serves its whole run. zeta_op
+sums the same Z^2 products.
 
 What is real in the J_z eigenbasis is stored as float64: J_x, J_z and
 J_z^-, every node's Z^2, Y^2 and ZXZ, X^2, zeta_op, and the static frame's
@@ -131,33 +136,58 @@ def two_mode_coherent_state(twice_j: int) -> np.ndarray:
     return np.kron(css, css)
 
 
-def _quarter_phase(omega: float, v: float):
-    """(cos, sin) of omega*v, snapped exactly when the phase sits on a
-    quarter-period node. The default omega places every integration step
-    on such a node, where the cycling of the measured axis is an exact
-    identity rather than a rounding accident."""
-    theta = omega * v
-    q = theta / (np.pi / 2.0)
-    k = round(q)
-    if abs(q - k) < _NODE_SNAP:
-        return _NODE_COEFFS[int(k) % 4]
-    return (float(np.cos(theta)), float(np.sin(theta)))
+class FrameAt:
+    """The frame's operators at one phase (c, s) = (cos w v, sin w v):
+    the linear z, y and k = -iY, and the quadratic z2, y2, zy = ZY + YZ,
+    zxz = ZXZ and s = -i(ZY + YZ). Each is built on first read by one
+    blend rule over the frame's component products, named _<op>_c, _<op>_s
+    and _<op>_cs (_zc, _zs, _yc, _ys for Z and Y): a linear operator is
+    c P_c + s P_s, a quadratic one c^2 P_c + s^2 P_s + c s P_cs, summed in
+    that order over the nonzero weights. A lone weight of 1 returns the
+    stored product as built, so a read on a frame node builds no cross
+    term and hands every reader the same array."""
+
+    def __init__(self, frame, phase):
+        self.frame, self.phase = frame, phase
+
+    def _blend(self, *names):
+        c, s = self.phase
+        weights = (c, s) if len(names) == 2 else (c * c, s * s, c * s)
+        (w, name), *rest = [(w, name) for w, name in zip(weights, names) if w != 0.0]
+        if w == 1.0 and not rest:
+            return getattr(self.frame, name)
+        out = w * getattr(self.frame, name)
+        for w, name in rest:
+            out = out + w * getattr(self.frame, name)
+        return out
+
+    z = cached_property(lambda self: self._blend("_zc", "_zs"))
+    y = cached_property(lambda self: self._blend("_yc", "_ys"))
+    k = cached_property(lambda self: self._blend("_k_c", "_k_s"))
+    z2 = cached_property(lambda self: self._blend("_z2_c", "_z2_s", "_z2_cs"))
+    y2 = cached_property(lambda self: self._blend("_y2_c", "_y2_s", "_y2_cs"))
+    zy = cached_property(lambda self: self._blend("_zy_c", "_zy_s", "_zy_cs"))
+    zxz = cached_property(lambda self: self._blend("_zxz_c", "_zxz_s", "_zxz_cs"))
+    s = cached_property(lambda self: self._blend("_s_c", "_s_s", "_s_cs"))
 
 
 class MeasurementFrame:
     """Operator bundle for one measurement configuration.
 
-    Exposes the rotating pair (Z(v), Y(v)), the static X, and the
-    quadratic combinations the dynamics and gain laws consume, each built
-    on first use. Also owns the normalisations that turn raw moments into
-    the reduced variance zeta = <zeta_op>/zeta_norm and polarisation
-    chi = <X>/chi_norm.
+    at(v) hands out the rotating pair (Z(v), Y(v)) and the quadratic
+    combinations the dynamics and gain laws consume as one FrameAt,
+    blended from the component products at the phase phase(v). The frame
+    holds the last bundle it handed out and returns it again for any read
+    at the same phase, so the readers of one step share each blend, and
+    its Moments read; a read at another phase replaces it. The static X
+    and the normalisations that turn raw moments into the reduced variance
+    zeta = <zeta_op>/zeta_norm and polarisation chi = <X>/chi_norm are
+    plain attributes.
 
-    The pair is Z = _zc cos + _zs sin and Y = _yc cos + _ys sin at the
-    frame's phase. This class is the static frame of one collective spin:
-    Z = jz, Y = jy and X = jx as given, with the phase pinned at (1, 0)
-    and no sine components, so each quadratic is one product of the
-    cosine pair. TwoModeFrame rotates the pair.
+    This class is the static frame of one collective spin: Z = jz, Y = jy
+    and X = jx as given. Its phase is (1, 0) at every v, so each operator
+    is the cosine pair's product and one bundle serves the whole run.
+    TwoModeFrame rotates the pair.
     """
 
     mode = "single"
@@ -165,6 +195,7 @@ class MeasurementFrame:
     # zeta = sum_i w_i <q_i^2> / zeta_norm over the slow pair q = (zc_op,
     # yc_op); conditioned scores subtract w_i <q_i>^2
     zeta_weights = (2.0,)
+    _held = None
 
     def __init__(self, jx, jy, jz, twice_j):
         self._zc, self._yc, self.x_op = _real(jz), jy, _real(jx)
@@ -177,8 +208,8 @@ class MeasurementFrame:
     _zy_c = cached_property(lambda self: self._zc @ self._yc + self._yc @ self._zc)
     _zxz_c = cached_property(lambda self: self._zc @ self.x_op @ self._zc)
     # -iY and -i(ZY + YZ), real because Y is imaginary and Z real
-    _k = cached_property(lambda self: _real(-1j * self._yc))
-    _s = cached_property(lambda self: _real(-1j * self._zy_c))
+    _k_c = cached_property(lambda self: _real(-1j * self._yc))
+    _s_c = cached_property(lambda self: _real(-1j * self._zy_c))
 
     @property
     def zc_op(self) -> np.ndarray:
@@ -202,36 +233,16 @@ class MeasurementFrame:
     def zeta_op(self) -> np.ndarray:
         return sum(w * square for w, square in zip(self.zeta_weights, (self._z2_c,)))
 
-    def coefficients(self, v: float):
-        return (1.0, 0.0)
+    def phase(self, v: float):
+        """(cos, sin) of the frame's rotation at time v: (1, 0) here."""
+        return _NODE_COEFFS[0]
 
-    # the static frame's reads skip the phase: each is its constant
-    def z_at(self, v: float) -> np.ndarray:
-        return self._zc
-
-    def y_at(self, v: float) -> np.ndarray:
-        return self._yc
-
-    def z2_at(self, v: float) -> np.ndarray:
-        return self._z2_c
-
-    def y2_at(self, v: float) -> np.ndarray:
-        return self._y2_c
-
-    def zy_anti_at(self, v: float) -> np.ndarray:
-        """ZY + YZ at time v."""
-        return self._zy_c
-
-    def zxz_at(self, v: float) -> np.ndarray:
-        return self._zxz_c
-
-    def k_at(self, v: float) -> np.ndarray:
-        """-iY at time v."""
-        return self._k
-
-    def s_at(self, v: float) -> np.ndarray:
-        """-i(ZY + YZ) at time v."""
-        return self._s
+    def at(self, v: float) -> FrameAt:
+        """The operators at time v: the held bundle if its phase is v's."""
+        phase = self.phase(v)
+        if self._held is None or self._held.phase != phase:
+            self._held = FrameAt(self, phase)
+        return self._held
 
 
 class TwoModeFrame(MeasurementFrame):
@@ -242,9 +253,8 @@ class TwoModeFrame(MeasurementFrame):
     jy_factor real (d x d, d = 2j + 1), and the diagonals jzp_diag and
     jzm_diag of J_z^+ and J_z^-, entries m1 +- m2 in the |m1, m2> order.
 
-    A quadratic read on a frame node (cos or sin zero) returns the cosine
-    or the sine pair's product as built; off the nodes it blends both with
-    the cross term, c^2 cos + s^2 sin + c s cross."""
+    On top of the cosine pair's products it holds the sine pair's and the
+    cross terms that off-node blends need, each built on first read."""
 
     mode = "two"
     zeta_weights = (1.0, 1.0)
@@ -277,6 +287,12 @@ class TwoModeFrame(MeasurementFrame):
         lambda self: self._zc @ self._ys + self._ys @ self._zc + self._zs @ self._yc + self._yc @ self._zs
     )
     _zxz_cs = cached_property(lambda self: self._zc @ self.x_op @ self._zs + self._zs @ self.x_op @ self._zc)
+    # -iY and -i(ZY + YZ) component by component, complex as Y's are
+    _k_c = cached_property(lambda self: -1j * self._yc)
+    _k_s = cached_property(lambda self: -1j * self._ys)
+    _s_c = cached_property(lambda self: -1j * self._zy_c)
+    _s_s = cached_property(lambda self: -1j * self._zy_s)
+    _s_cs = cached_property(lambda self: -1j * self._zy_cs)
 
     @property
     def yc_op(self) -> np.ndarray:
@@ -286,63 +302,17 @@ class TwoModeFrame(MeasurementFrame):
     def zeta_op(self) -> np.ndarray:
         return sum(w * square for w, square in zip(self.zeta_weights, (self._z2_c, self._z2_s)))
 
-    def coefficients(self, v: float):
-        return _quarter_phase(self.omega, v)
-
-    def z_at(self, v: float) -> np.ndarray:
-        c, s = self.coefficients(v)
-        if s == 0.0:
-            return self._zc if c == 1.0 else c * self._zc
-        if c == 0.0:
-            return self._zs if s == 1.0 else s * self._zs
-        return c * self._zc + s * self._zs
-
-    def y_at(self, v: float) -> np.ndarray:
-        c, s = self.coefficients(v)
-        if s == 0.0:
-            return self._yc if c == 1.0 else c * self._yc
-        if c == 0.0:
-            return self._ys if s == 1.0 else s * self._ys
-        return c * self._yc + s * self._ys
-
-    def z2_at(self, v: float) -> np.ndarray:
-        c, s = self.coefficients(v)
-        if s == 0.0:
-            return self._z2_c
-        if c == 0.0:
-            return self._z2_s
-        return (c * c) * self._z2_c + (s * s) * self._z2_s + (c * s) * self._z2_cs
-
-    def y2_at(self, v: float) -> np.ndarray:
-        c, s = self.coefficients(v)
-        if s == 0.0:
-            return self._y2_c
-        if c == 0.0:
-            return self._y2_s
-        return (c * c) * self._y2_c + (s * s) * self._y2_s + (c * s) * self._y2_cs
-
-    def zy_anti_at(self, v: float) -> np.ndarray:
-        """ZY + YZ at time v."""
-        c, s = self.coefficients(v)
-        if s == 0.0:
-            return self._zy_c
-        if c == 0.0:
-            return self._zy_s
-        return (c * c) * self._zy_c + (s * s) * self._zy_s + (c * s) * self._zy_cs
-
-    def zxz_at(self, v: float) -> np.ndarray:
-        c, s = self.coefficients(v)
-        if s == 0.0:
-            return self._zxz_c
-        if c == 0.0:
-            return self._zxz_s
-        return (c * c) * self._zxz_c + (s * s) * self._zxz_s + (c * s) * self._zxz_cs
-
-    def k_at(self, v: float) -> np.ndarray:
-        return -1j * self.y_at(v)
-
-    def s_at(self, v: float) -> np.ndarray:
-        return -1j * self.zy_anti_at(v)
+    def phase(self, v: float):
+        """(cos, sin) of omega v, snapped exactly when the phase sits on a
+        quarter-period node. The default omega places every integration
+        step on such a node, where the cycling of the measured axis is an
+        exact identity rather than a rounding accident."""
+        theta = self.omega * v
+        q = theta / (np.pi / 2.0)
+        k = round(q)
+        if abs(q - k) < _NODE_SNAP:
+            return _NODE_COEFFS[int(k) % 4]
+        return (float(np.cos(theta)), float(np.sin(theta)))
 
 
 def single_mode_frame(twice_j: int) -> MeasurementFrame:
@@ -368,11 +338,8 @@ def expect_real(op: np.ndarray, rho):
     rho is one n x n state or a (B, n, n) stack. The result is a float for
     one state, a stack of one included, and a (B,) array for a larger
     stack, each member's value bit for bit the one np.vdot gives for that
-    state alone. rho may also be the Moments of a state or stack, whose
-    read of op is returned.
+    state alone.
     """
-    if isinstance(rho, Moments):
-        return rho(op)
     if rho.size == op.size:
         return float(np.vdot(rho, op).real)
     return np.vecdot(rho.reshape(len(rho), -1), op.reshape(-1)).real

@@ -17,10 +17,11 @@ Every run, record-averaged here or record-conditioned in ``stochastic``,
 goes through one step loop, ``integrate``: it checks the trace, asks the
 gain law for the gain, records strided metrics rows, audits positivity,
 and ends the run with a defined status; the gain law, metrics row and
-step share one ``algebra.Moments`` read per step. It steps a stack of
-runs at once, a deterministic run being a stack of one and a batch of
-conditioned trajectories a stack of many, and ends each run with its own
-status. What differs between runs is only the step it is handed:
+step share one ``algebra.Moments`` read per step and the frame's bundle
+at v, ``frame.at(v)``, so each expectation is computed once. It steps a
+stack of runs at once, a deterministic run being a stack of one and a
+batch of conditioned trajectories a stack of many, and ends each run
+with its own status. What differs between runs is only the step it is handed:
 
 * When each step spans exactly a quarter frame period (two samples,
   omega delta_v = pi/2, the default ``omega = "auto"``), consecutive
@@ -47,8 +48,8 @@ finite-omega Euler runs mix real and imaginary operators and stay complex.
 The Euler rate, feedback_rate, is W + W^dag with
 W = Q rho + (r rho) r^dag / 2, r = Z + L K and Q = (L S - r^dag r)/2:
 three dim^3 products with the dense frame operators. S is anti-Hermitian,
-so the drive S rho + (S rho)^dag folds into Q, and r^dag r folds into
-cached frame operators via r^dag r = Z^2 + L^2 Y^2 - L X. The averaged
+so the drive S rho + (S rho)^dag folds into Q, and r^dag r folds into the
+frame's bundle at v, frame.at(v), via r^dag r = Z^2 + L^2 Y^2 - L X. The averaged
 rate multiplies by no dense operator: J_z^+ and J_z^- are diagonal in
 the |m1, m2> basis, and J_y^+ and J_y^- act one sample at a time through
 the d x d factor of J_y (d = 2j + 1), so each of its four products costs
@@ -130,7 +131,7 @@ def countertwist_hamiltonian(frame: MeasurementFrame, variant: str):
         jy1, jy2 = on_samples(frame.sample.jy)
         return jz1 @ jy2 + jy1 @ jz2
     if variant == "countertwist-single":
-        return 0.5 * frame.zy_anti_at(0.0)  # collective Jz Jy + Jy Jz
+        return 0.5 * frame.at(0.0).zy  # collective Jz Jy + Jy Jz
     raise ValueError(f"unknown countertwisting variant {variant!r}")
 
 
@@ -142,8 +143,9 @@ def feedback_rate(frame: MeasurementFrame, rho, v: float, lam: float):
     last bit. It is computed as (V + V^dag)/2 with V = 2W, which rounds
     exactly as W does; on the static frame K and S are real, so a real rho
     gives a real rate."""
-    r = frame.z_at(v) + lam * frame.k_at(v)
-    q = lam * (frame.s_at(v) + frame.x_op) - (frame.z2_at(v) + (lam * lam) * frame.y2_at(v))  # 2Q
+    at = frame.at(v)
+    r = at.z + lam * at.k
+    q = lam * (at.s + frame.x_op) - (at.z2 + (lam * lam) * at.y2)  # 2Q
     # np.dot: the same BLAS product as @ on 2-D arrays, with less dispatch
     w = np.dot(q, rho)
     w += np.dot(np.dot(r, rho), r.conj().T)

@@ -14,9 +14,12 @@ to the measurement record; the laws below choose the proportionality:
                      ratio takes on the exactly-solvable spin-1 flow
 
 The state-dependent laws read one n x n state, a (B, n, n) stack of them,
-or the step's Moments, which the metrics row and the step share. On a
-stack they return one gain per member, each bit for bit the gain that
-member alone would get. The schedules return one float either way.
+or the step's Moments, which the metrics row and the step share. They
+take the frame's operators from frame.at(t), at the current time or at
+each node time of a tuple, so they read the same blends as the metrics
+row and the step. On a stack they return one gain per member, each bit
+for bit the gain that member alone would get. The schedules return one
+float either way.
 """
 
 from __future__ import annotations
@@ -52,11 +55,12 @@ class ClampFlags(np.ndarray):
         return int(np.count_nonzero(self))
 
 
-def _node_mean(read, op_at, v) -> float:
-    """read(op_at(v)), or its mean over v when v is a tuple of frame-node times."""
+def _node_mean(frame: MeasurementFrame, v, moment) -> float:
+    """moment(frame.at(v)), or its mean over v when v is a tuple of
+    frame-node times."""
     if isinstance(v, tuple):
-        return sum(read(op_at(t)) for t in v) / len(v)
-    return read(op_at(v))
+        return sum(moment(frame.at(t)) for t in v) / len(v)
+    return moment(frame.at(v))
 
 
 def _ratio(num, mx):
@@ -75,9 +79,9 @@ def moment_block(rho, frame: MeasurementFrame, v):
     d = <X^2 - Z^2>, e = <4 Z X Z + X>, f = <X>/2, g = 2<Z^2>."""
     read = moments_of(rho)
     mx = read(frame.x_op)
-    mz2 = _node_mean(read, frame.z2_at, v)
+    mz2 = _node_mean(frame, v, lambda at: read(at.z2))
     d = read(frame.x2_op) - mz2
-    e = 4.0 * _node_mean(read, frame.zxz_at, v) + mx
+    e = 4.0 * _node_mean(frame, v, lambda at: read(at.zxz)) + mx
     return d, e, 0.5 * mx, 2.0 * mz2
 
 
@@ -85,22 +89,21 @@ def lambda_simple(rho, frame: MeasurementFrame, v) -> float:
     """Measured second moment over polarisation; diverges as the spin
     depolarises."""
     read = moments_of(rho)
-    return _ratio(2.0 * _node_mean(read, frame.z2_at, v), read(frame.x_op))
+    return _ratio(2.0 * _node_mean(frame, v, lambda at: read(at.z2)), read(frame.x_op))
 
 
-def _conditional_variance(read, frame: MeasurementFrame, v) -> float:
-    """<Z^2> - <Z>^2, or its mean over v when v is a tuple of frame-node times."""
-    if isinstance(v, tuple):
-        return sum(_conditional_variance(read, frame, t) for t in v) / len(v)
-    mz = read(frame.z_at(v))
-    return read(frame.z2_at(v)) - mz * mz
+def _conditional_variance(read, at) -> float:
+    """<Z^2> - <Z>^2 from the operators at one time."""
+    mz = read(at.z)
+    return read(at.z2) - mz * mz
 
 
 def lambda_simple_conditioned(rho, frame: MeasurementFrame, v) -> float:
     """Conditional-variance form: on a conditioned state the regulated
     mean carries no squeezing information, so it is subtracted."""
     read = moments_of(rho)
-    return _ratio(2.0 * _conditional_variance(read, frame, v), read(frame.x_op))
+    variance = _node_mean(frame, v, lambda at: _conditional_variance(read, at))
+    return _ratio(2.0 * variance, read(frame.x_op))
 
 
 def lambda_analytic(v: float, spin_j: float, mode: str) -> float:

@@ -86,7 +86,7 @@ def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=Fa
         raw = raw - w * np.float_power(mean, 2.0)
     zeta = raw / frame.zeta_norm
     purity = np.add.reduce(rho.real**2 + rho.imag**2 if rho.dtype.kind == "c" else rho**2, axis=(-2, -1))
-    values = [v, zeta, chi, purity, lam, squeezing_xi2(zeta, chi), zeta < chi, read(frame.z2_at(v)), *means]
+    values = [v, zeta, chi, purity, lam, squeezing_xi2(zeta, chi), zeta < chi, read(frame.at(v).z2), *means]
     shape = (len(values),) + rho.shape[:-2]
     if purity.size == 1 and not isinstance(lam, np.ndarray):
         # one state, so one number per column: the row fills in one pass

@@ -94,8 +94,8 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float
     per member."""
     read = moments_of(rho)
     rho = read.rho
-    z = frame.z_at(v)
-    z2 = frame.z2_at(v)
+    at = frame.at(v)
+    z, z2 = at.z, at.z2
     mz = read(z)
     dy = 2.0 * mz * delta_v + dw
 
@@ -107,10 +107,8 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float
 
     fed = lam != 0.0
     if np.any(fed):
-        y = frame.y_at(v)
-        y2 = frame.y2_at(v)
         kick = _per_state(lam * dy)
-        u = -1j * kick * y - 0.5 * kick * kick * y2
+        u = -1j * kick * at.y - 0.5 * kick * kick * at.y2
         u.reshape(u.shape[:-2] + (-1,))[..., :: u.shape[-1] + 1] += 1.0
         kicked = u @ mid @ _dagger(u)
         mid = kicked if np.all(fed) else np.where(_per_state(fed), kicked, mid)
@@ -179,10 +177,12 @@ def trajectory_run(
 
 
 def fan_out(fn, tasks, jobs: int = 1) -> list:
-    """[fn(task) for task in tasks], across up to jobs worker processes
-    when jobs > 1; fn and every task must pickle. Results keep task order."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """[fn(task) for task in tasks], across min(jobs, len(tasks)) worker
+    processes when that is more than one, else in this process; fn and
+    every task must pickle. Results keep task order."""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
 

@@ -130,8 +130,8 @@ def test_criterion_01_algebra_exactness():
         worst = max(worst, np.abs(comm).max(), np.abs(casimir).max())
         frame = two_mode_frame(twice_j, omega=math.pi / 0.002)
         for v in (0.0, 1.3e-4, 0.77, 2.0):
-            z = frame.z_at(v)
-            y = frame.y_at(v)
+            z = frame.at(v).z
+            y = frame.at(v).y
             rotated = z @ y - y @ z + 1j * frame.x_op
             worst = max(worst, np.abs(rotated).max())
     elapsed = time.perf_counter() - t0

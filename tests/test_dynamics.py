@@ -9,7 +9,7 @@ import pytest
 from conftest import css_rho, random_density
 
 from spinlab import algebra, dynamics, feedback, metrics, stochastic
-from spinlab.algebra import Moments, single_mode_frame, spin_matrices, two_mode_frame
+from spinlab.algebra import single_mode_frame, spin_matrices, two_mode_frame
 from spinlab.dynamics import (
     EvolutionSpec,
     averaged_rate,
@@ -46,7 +46,8 @@ def test_dissipator_spin_half_coherence_decay():
 def _plain_rate(fr, rho, v, lam):
     """The scaled master equation built naively from the public frame
     operators and dense products."""
-    z, y = fr.z_at(v), fr.y_at(v)
+    at = fr.at(v)
+    z, y = at.z, at.y
     r = z - 1j * lam * y
     rd = r.conj().T
     h = 0.5 * lam * (z @ y + y @ z)
@@ -170,7 +171,7 @@ def test_step_without_gain_is_pure_dephasing():
     rho = random_density(3, seed=13)
     dv = 1e-3
     out = unconditioned_step(rho, fr, v=0.5, lam=0.0, delta_v=dv)
-    want = rho + dv * dissipator(fr.z_at(0.5), rho)
+    want = rho + dv * dissipator(fr.at(0.5).z, rho)
     assert np.abs(out - 0.5 * (want + want.conj().T)).max() < 1e-14
 
 
@@ -311,7 +312,8 @@ def _real_density(dim: int, seed: int) -> np.ndarray:
 def _rate_before_k_and_s(frame, rho, v, lam):
     """feedback_rate as written with Y and ZY + YZ: r = Z - iLY and the drive
     -i(L/2)[ZY + YZ, rho], the products in the same order."""
-    z, z2, y, y2, anti = frame.z_at(v), frame.z2_at(v), frame.y_at(v), frame.y2_at(v), frame.zy_anti_at(v)
+    at = frame.at(v)
+    z, z2, y, y2, anti = at.z, at.z2, at.y, at.y2, at.zy
     r = z - 1j * lam * y
     rdr = z2 + (lam * lam) * y2 - lam * frame.x_op
     sandwich = (r @ rho) @ r.conj().T
@@ -465,14 +467,13 @@ def test_stack_dtype_follows_the_generator(kw, dtype, monkeypatch):
 
 
 def _count_expectations(monkeypatch) -> list:
-    """Patch every module's expect_real to log each expectation computed
-    from a state or stack; a read that a Moments answers is not logged."""
+    """Patch every module's expect_real to log each expectation computed;
+    a read that a Moments answers again is not logged."""
     calls = []
 
     def counted(fn):
         def wrapper(op, rho):
-            if not isinstance(rho, Moments):
-                calls.append(op)
+            calls.append(op)
             return fn(op, rho)
 
         return wrapper
@@ -489,12 +490,14 @@ def _count_expectations(monkeypatch) -> list:
         (dict(mode="single", twice_j=4, scheme="simple"), 3, 2),
         (dict(mode="two", twice_j=2, scheme="simple"), 4, 3),
         (dict(mode="single", twice_j=2, scheme="simple-conditioned", conditioned=True), 5, 3),
+        (dict(mode="two", twice_j=2, scheme="optimal", omega=7.3), 5, 4),
     ],
-    ids=["single-simple", "two-node", "cond-spin1"],
+    ids=["single-simple", "two-node", "cond-spin1", "two-off-node"],
 )
 def test_each_step_computes_each_expectation_once(kw, per_row, per_step, monkeypatch):
-    # per recorded step: the gain law, the metrics row and the conditioned
-    # step share one read, so <X> and <Z^2> are computed once, not twice
+    # per recorded step: the gain law, the metrics row and the step share
+    # one read and one frame bundle, so <X> and <Z^2> are computed once,
+    # not twice, off the frame nodes too
     calls = _count_expectations(monkeypatch)
     for stride, rows in ((1, 21), (10, 3)):
         calls.clear()

@@ -116,8 +116,8 @@ def test_conditioned_variant_subtracts_mean():
     vec = rng.normal(size=3) + 1j * rng.normal(size=3)
     vec /= np.linalg.norm(vec)
     rho = np.outer(vec, vec.conj())
-    mz = expect_real(fr.z_at(0.0), rho)
-    mz2 = expect_real(fr.z2_at(0.0), rho)
+    mz = expect_real(fr.at(0.0).z, rho)
+    mz2 = expect_real(fr.at(0.0).z2, rho)
     mx = expect_real(fr.x_op, rho)
     assert abs(mz) > 1e-3  # displaced state, else the test is vacuous
     assert lambda_simple(rho, fr, 0.0) == pytest.approx(2 * mz2 / mx, rel=1e-12)
@@ -131,15 +131,15 @@ def test_state_laws_read_node_averaged_moments():
     fr = two_mode_frame(2, omega=math.pi / (2 * dv))
     rho = random_density(9, seed=21)
     nodes = (0.0, dv)
-    mean = lambda op_at: 0.5 * sum(expect_real(op_at(t), rho) for t in nodes)
-    mz2 = mean(fr.z2_at)
+    mean = lambda name: 0.5 * sum(expect_real(getattr(fr.at(t), name), rho) for t in nodes)
+    mz2 = mean("z2")
     mx = expect_real(fr.x_op, rho)
-    mz_sq = 0.5 * sum(expect_real(fr.z_at(t), rho) ** 2 for t in nodes)
-    assert abs(expect_real(fr.z_at(0.0), rho)) > 1e-3  # else the mean of squares is vacuous
+    mz_sq = 0.5 * sum(expect_real(fr.at(t).z, rho) ** 2 for t in nodes)
+    assert abs(expect_real(fr.at(0.0).z, rho)) > 1e-3  # else the mean of squares is vacuous
     assert lambda_simple(rho, fr, nodes) == pytest.approx(2 * mz2 / mx, rel=1e-12)
     assert lambda_simple_conditioned(rho, fr, nodes) == pytest.approx(2 * (mz2 - mz_sq) / mx, rel=1e-12)
     d = expect_real(fr.x2_op, rho) - mz2
-    e = 4.0 * mean(fr.zxz_at) + mx
+    e = 4.0 * mean("zxz") + mx
     assert moment_block(rho, fr, nodes) == pytest.approx((d, e, 0.5 * mx, 2.0 * mz2), rel=1e-12)
     # the node moments differ, so the averaged gains are not the node-0 gains
     assert lambda_simple(rho, fr, nodes) != pytest.approx(lambda_simple(rho, fr, 0.0), rel=1e-6)

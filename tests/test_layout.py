@@ -1,9 +1,9 @@
 """Package layout rules, checked on the source: each module reaches the
 others only through their public names, the frame's operators are read
-only through its public methods, one module owns process fan-out, one
-function loops over the steps, and every name the benchmark tracer wraps
-exists. Also that a run on frame nodes builds none of the frame's cross
-terms."""
+only through its public methods and at a time only through frame.at(v),
+one module owns process fan-out, one function loops over the steps, and
+every name the benchmark tracer wraps exists. Also that a run on frame
+nodes builds none of the frame's cross terms."""
 
 import ast
 import importlib
@@ -48,6 +48,20 @@ def test_frame_internals_stay_in_algebra():
     ]
     assert not found
 
+
+
+def test_frame_is_read_at_a_time_only_through_at():
+    # one read per time: a per-operator *_at read or a read of the phase
+    # would be a second way to the operators at v, beside the held bundle
+    found = [
+        f"{module}:{node.lineno} frame.{node.attr}"
+        for module, tree in SOURCES.items()
+        if module != "algebra"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and _is_frame(node.value)
+        and (node.attr.endswith("_at") or node.attr == "phase")
+    ]
+    assert not found
 
 def test_one_module_owns_the_process_pool():
     owners = [

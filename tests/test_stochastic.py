@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spinlab.algebra import expect_real, single_mode_frame, spin_matrices, two_mode_frame
+from spinlab.algebra import expect_real, moments_of, single_mode_frame, spin_matrices, two_mode_frame
 from spinlab.dynamics import EvolutionSpec, evolve
 from spinlab.feedback import FeedbackScheme, GainError
 from spinlab.metrics import compute_metrics
@@ -223,6 +223,35 @@ def test_run_trajectories_process_pool_matches_serial():
         assert np.array_equal(a.column("zeta"), b.column("zeta"))
 
 
+
+def test_fan_out_starts_no_more_workers_than_tasks(monkeypatch):
+    # a stand-in pool records each worker count and maps in this process,
+    # so no process starts, whatever jobs asks for
+    from spinlab import stochastic
+
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(stochastic, "ProcessPoolExecutor", InProcessPool)
+    assert stochastic.fan_out(abs, [-1], jobs=3) == [1]
+    assert made == []  # one task runs in this process
+    assert stochastic.fan_out(abs, [-1, 2, -3], jobs=64) == [1, 2, 3]
+    assert stochastic.fan_out(abs, [-1, 2, -3], jobs=2) == [1, 2, 3]
+    assert stochastic.fan_out(abs, [], jobs=4) == []
+    assert made == [3, 2]
+
 def test_average_records_drops_aborted():
     frame = single_mode_frame(2)
     spec = _spec(frame, delta_v=1e-3, v_max=0.1)
@@ -302,7 +331,7 @@ class _Threshold(FeedbackScheme):
         super().__init__("simple", clamp=1e12)
 
     def gain(self, rho, frame, v):
-        mz = expect_real(frame.z_at(v), rho)
+        mz = moments_of(rho)(frame.at(v).z)
         return np.where(np.asarray(mz) > 0.15, 1e9, 0.3)[()], False
 
 
@@ -327,7 +356,7 @@ class _Refuse(FeedbackScheme):
         super().__init__("simple", clamp=1e12)
 
     def gain(self, rho, frame, v):
-        mz = np.atleast_1d(expect_real(frame.z_at(v), rho))
+        mz = np.atleast_1d(moments_of(rho)(frame.at(v).z))
         members = {int(k): f"no gain at <Z> = {mz[k]:.6g}" for k in np.flatnonzero(mz > 0.15)}
         if members:
             raise GainError(next(iter(members.values())), members)
