@@ -72,11 +72,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     config = _scenario_config(args)
-    ensemble, records = run_ensemble(config)
+    _, records = run_ensemble(config)
     bad = [r for r in records if not r.ok]
     dest = f" -> {config.out}" if config.out else ""
     print(f"ensemble {config.mode}/2j={config.twice_j}/{config.scheme}: "
-          f"{ensemble.n_trajectories}/{len(records)} trajectories ok{dest}")
+          f"{len(records) - len(bad)}/{len(records)} trajectories ok{dest}")
     for rec in bad:
         print(f"trajectory {rec.meta['traj_index']} aborted at v={rec.abort_v:.4f}: "
               f"{rec.abort_reason}", file=sys.stderr)

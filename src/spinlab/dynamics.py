@@ -8,10 +8,10 @@ In scaled time v the record-averaged state obeys
 with Z = Z(v), Y = Y(v) from the measurement frame and L the scaled
 feedback gain. The first term is the twisting the feedback synthesises;
 the dissipator carries both the measurement back-action and the fed-back
-noise. Both rates are Hermitian to the last bit, so the state stays
-Hermitian exactly (the Euler step re-Hermitizes, which then changes no
-bits), and the trace is left alone so integrator failure shows up as
-drift instead of being hidden by renormalisation.
+noise. Both rates are Hermitian to the last bit, so evolve Hermitizes
+rho0 once and the state stays Hermitian exactly, and the trace is left
+alone so integrator failure shows up as drift instead of being hidden by
+renormalisation.
 
 Every run, record-averaged here or record-conditioned in ``stochastic``,
 goes through one step loop, ``integrate``: it checks the trace, asks the
@@ -39,11 +39,13 @@ with its own status. What differs between runs is only the step it is handed:
 
 Dtype: in the J_z basis J_x, J_z and the +x coherent state are real and
 J_y = iK with K real. So the averaged two-mode rate, the static
-single-mode rate and countertwisting (H imaginary, exp(-i H delta_v) real
-orthogonal) keep a real state real, and evolve steps them on a float64
+single-mode rate, the single-mode conditioned step and countertwisting
+(H imaginary, exp(-i H delta_v) real orthogonal) keep a real state real.
+Their callers tell integrate so, and integrate steps them on a float64
 stack when rho0's imaginary part is exactly zero: half the memory, real
-BLAS in every product, expectation and audit. The conditioned step and
-finite-omega Euler runs mix real and imaginary operators and stay complex.
+BLAS in every product, expectation and audit. Two-mode conditioned runs
+(measuring J_y^- is an imaginary back-action) and finite-omega Euler
+runs mix real and imaginary operators and stay complex.
 
 The Euler rate, feedback_rate, is W + W^dag with
 W = Q rho + (r rho) r^dag / 2, r = Z + L K and Q = (L S - r^dag r)/2:
@@ -246,12 +248,12 @@ def unconditioned_step(
     """One step of the feedback master equation.
 
     Forward Euler on feedback_rate, re-Hermitized, unless a rate is given:
-    the averaged integrator passes its Adams-Bashforth combination of
-    averaged rates, which is Hermitian to the last bit (each rate is
-    G + G^dag, and real combinations keep that), so from a Hermitian rho
-    the step is already Hermitian and re-Hermitizing would change nothing.
-    So is feedback_rate: its re-Hermitized step changes no bits from a
-    Hermitian rho, and makes the step from any other rho Hermitian.
+    evolve passes feedback_rate itself, or the averaged integrator's
+    Adams-Bashforth combination of averaged rates. Each is Hermitian to
+    the last bit (a rate is W + W^dag or G + G^dag, and real combinations
+    keep that), so from a Hermitian rho the step is already Hermitian and
+    re-Hermitizing would change nothing. Without a rate the step is
+    Hermitian from any rho.
     """
     if rate is not None:
         return rho + delta_v * rate
@@ -294,7 +296,7 @@ def _kept(lam, keep):
 
 def integrate(
     rho0, spec: EvolutionSpec, controller, step, metrics, columns, metas: list[dict],
-    *, nodes: bool = False, window=None, zeta_floor: float | None = None,
+    *, nodes: bool = False, window=None, zeta_floor: float | None = None, real_step: bool = False,
 ) -> list[TrajectoryRecord]:
     """The step loop every run shares, averaged or conditioned.
 
@@ -331,11 +333,17 @@ def integrate(
     also ends the run. Positivity is logged and recorded, never repaired.
     With zeta_floor set, a run ends, status ok, at the first recorded row
     whose zeta is not above it; that row is kept.
+
+    real_step says the step keeps a real state real. Then a rho0 whose
+    imaginary part is exactly zero is stepped as a float64 stack, its
+    real part; otherwise the stack takes rho0's dtype.
     """
     frame, dv = spec.frame, spec.delta_v
     n_steps, stride, audit_stride = spec.n_steps, spec.record_stride, spec.audit_stride
     if rho0.shape != (frame.dim, frame.dim):
         raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
+    if real_step and not rho0.imag.any():
+        rho0 = rho0.real
     size = len(metas)
     rho = np.empty((size,) + rho0.shape, dtype=rho0.dtype)
     rho[:] = rho0
@@ -466,8 +474,11 @@ def evolve(
     integrate for the row, abort and diagnostic contract."""
     frame, dv = spec.frame, spec.delta_v
     averaged = _quarter_period_steps(spec)
-    if (averaged or frame.mode == "single" or spec.generator != "feedback") and not rho0.imag.any():
-        rho0 = rho0.real  # a real generator keeps a real state real
+    # every step keeps a Hermitian state Hermitian to the last bit, so
+    # Hermiticity is imposed once, and only on a start that lacks it: a
+    # complex copy held through a real run would cost memory for nothing
+    if not np.array_equal(rho0, rho0.conj().T):
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
     if spec.generator != "feedback":
         propagator = countertwist_propagator(countertwist_hamiltonian(frame, spec.generator), dv)
 
@@ -475,8 +486,6 @@ def evolve(
             return countertwisting_step(rho, propagator)
 
     elif averaged:
-        # the averaged steps keep Hermiticity exactly, so it is imposed once
-        rho0 = 0.5 * (rho0 + rho0.conj().T)
         last_rate = None  # the previous averaged rate, for Adams-Bashforth
         scratch = {}
 
@@ -495,7 +504,7 @@ def evolve(
     else:
 
         def advance(rho, v, lam):
-            return unconditioned_step(rho, frame, v, lam, dv)
+            return unconditioned_step(rho, frame, v, lam, dv, rate=feedback_rate(frame, rho, v, lam))
 
     def step(rho, v, lam, live, read):
         # a deterministic run is a stack of one state
@@ -504,4 +513,5 @@ def evolve(
     return integrate(
         rho0, spec, controller, step, compute_metrics, PLAIN_COLUMNS, [{"conditioned": False}],
         nodes=averaged, zeta_floor=zeta_floor,
+        real_step=averaged or frame.mode == "single" or spec.generator != "feedback",
     )[0]

@@ -348,11 +348,13 @@ def run_scenario(config: SimConfig) -> TrajectoryRecord:
     return record
 
 
-def run_ensemble(config: SimConfig) -> tuple[EnsembleRecord, list[TrajectoryRecord]]:
+def run_ensemble(config: SimConfig) -> tuple[EnsembleRecord | None, list[TrajectoryRecord]]:
     """config.ensemble conditioned trajectories plus their average.
 
-    Per-trajectory files land next to config.out with a _t<i> suffix;
-    the averaged columns get _mean. No two workers share a file.
+    Per-trajectory files land next to config.out with a _t<i> suffix,
+    written before the average; the averaged columns get _mean. With no
+    surviving trajectory there is no average: the ensemble is None and no
+    _mean file is written. No two workers share a file.
     """
     config = replace(config, conditioned=True)
     records = run_trajectories(
@@ -363,15 +365,17 @@ def run_ensemble(config: SimConfig) -> tuple[EnsembleRecord, list[TrajectoryReco
         n_trajectories=config.ensemble,
         jobs=config.jobs,
     )
-    ensemble = average_records(records)
+    out = Path(config.out or "")
+
+    def path(tag):
+        return out.with_name(f"{out.stem}_{tag}{out.suffix or '.csv'}")
+
     if config.out:
-        stem = Path(config.out)
-        suffix = stem.suffix or ".csv"
-        base = stem.with_suffix("")
         for rec in records:
-            idx = rec.meta["traj_index"]
-            write_trajectory_csv(rec, config, base.parent / f"{base.name}_t{idx}{suffix}")
-        write_ensemble_csv(ensemble, config, base.parent / f"{base.name}_mean{suffix}")
+            write_trajectory_csv(rec, config, path(f"t{rec.meta['traj_index']}"))
+    ensemble = average_records(records) if any(r.ok for r in records) else None
+    if config.out and ensemble:
+        write_ensemble_csv(ensemble, config, path("mean"))
     return ensemble, records
 
 

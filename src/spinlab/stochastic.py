@@ -5,11 +5,12 @@ operators evaluated at the left endpoint (Ito convention):
 
   1. measurement back-action  rho += dv D[Z] rho + dW H[Z] rho
   2. feedback kick            rho -> U rho U^dag with
-                              U = 1 - i (L dY) Y - (L dY)^2 Y^2 / 2
+                              U = 1 + (L dY) K - (L dY)^2 Y^2 / 2
   3. trace renormalisation
 
-where dY = 2<Z> dv + dW is the record increment. The second-order term
-in U keeps the update accurate to O(dv) because dY^2 is O(dv). Averaged
+where dY = 2<Z> dv + dW is the record increment and K = -iY, so the
+kick is 1 - i (L dY) Y to first order. The second-order term in U keeps
+the update accurate to O(dv) because dY^2 is O(dv). Averaged
 over noise realisations the three updates reproduce the deterministic
 feedback master equation to the same order, which is what the ensemble
 tests pin down.
@@ -28,7 +29,10 @@ a stack of one. The loop brings the trace checks, gain, metrics rows,
 positivity audit and per-trajectory abort statuses; every member's
 numbers are bit for bit those of the trajectory run alone. Batches hold
 up to BATCH_ELEMENTS matrix elements, so a spin-1 ensemble is one batch
-per worker. fan_out is the package's one process fan-out; ensembles,
+per worker. On the static single-mode frame Z, K and Y^2 are real, so
+a real rho0 is stepped as a float64 stack; a two-mode frame measures
+J_y^-, an imaginary back-action, so its trajectories stay complex.
+fan_out is the package's one process fan-out; ensembles,
 bundled curve sets and CLI sweeps all go through it.
 """
 
@@ -49,8 +53,9 @@ from .trajectory import EnsembleRecord, TrajectoryRecord
 TRACE_WINDOW = (0.5, 2.0)
 # steps of noise each trajectory draws at a time
 NOISE_BLOCK = 512
-# matrix elements in one stack of trajectories: about 1 MiB of states, so
-# each of the step's temporaries stays small at any dimension
+# matrix elements in one stack of trajectories: about 1 MiB of complex
+# states (half that for float64), so each of the step's temporaries stays
+# small at any dimension
 BATCH_ELEMENTS = 1 << 16
 
 
@@ -108,7 +113,7 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float
     fed = lam != 0.0
     if np.any(fed):
         kick = _per_state(lam * dy)
-        u = -1j * kick * at.y - 0.5 * kick * kick * at.y2
+        u = kick * at.k - 0.5 * kick * kick * at.y2
         u.reshape(u.shape[:-2] + (-1,))[..., :: u.shape[-1] + 1] += 1.0
         kicked = u @ mid @ _dagger(u)
         mid = kicked if np.all(fed) else np.where(_per_state(fed), kicked, mid)
@@ -161,7 +166,7 @@ def trajectory_batch(
     metas = [{"conditioned": True, "seed": seed, "traj_index": i} for i in traj_indices]
     return integrate(
         rho0, spec, controller, step, partial(compute_metrics, conditioned=True), METRIC_COLUMNS,
-        metas, window=TRACE_WINDOW,
+        metas, window=TRACE_WINDOW, real_step=frame.mode == "single",
     )
 
 

@@ -85,15 +85,15 @@ def artifact_hashes(out) -> dict:
 
 EXPECTED = {
     "aborted-averaged.csv": "7ad401d35d857cf0f34dfabe326ead56b984bd94715ea4a468e10f07ba7e0c2d",
-    "aborted-conditioned.csv": "17c2c9f6f590b7860b6b554141b4966f010971b2a6c6721eac2c27478d7e8f85",
+    "aborted-conditioned.csv": "56761c88212b1fea372fe92bae1b77f1307633915852525a6f52e0ca40a03d39",
     "averaged-two.csv": "de1cd4ef2ae139f2449404d079e2b1855d3038f528eb47a33ced819888f4c5c0",
     "conditioned.csv": "967cfcb3a6d4680848a0e59335775a53882fcf4928bc1538e76b2e45c280c122",
     "countertwist-single.csv": "93244e453f4cca04a0c0a8397b0c77385c0c6b71b3eb4ae41e234a8fe3f66246",
     "countertwist-two.csv": "fa96efc20c002516d2e1315a7a18d4947dee2c5e80b0b2fbb5d14fb2fa8a2fc3",
-    "ens_mean.csv": "85179edb1aea4b632f8b8ecb455b7e97a0fd993dde3c85f5d3354ee843eaf900",
-    "ens_t0.csv": "5217404e2f44b9887e9af5b10efeed905a78972596c4658d9997d0b36a65b3b9",
-    "ens_t1.csv": "16d29c90cb166b90c34e30acd482a9949592b2c79c8562941a90e175fd3aa6ca",
-    "ens_t2.csv": "0582cbd474265d9bbf99b4c2aa7cc4d8d8e3f1b8a590b1c561053a995231195e",
+    "ens_mean.csv": "6ba355924568b07979974282837cd7934684cbf2305118440d0d74d671149bc8",
+    "ens_t0.csv": "45bfa214b12aa3db2c7ff64520ccd301d43280cd398669da0170b0f30dd6c653",
+    "ens_t1.csv": "5995037818f26a93d972f498cdffcf03febb0aa2de7e05ae800068d441ac28d4",
+    "ens_t2.csv": "f3668fba6473509296410ac4d844e677f0b17e473884cee5ced36d82d5f0151f",
     "euler-single.csv": "601f4a2abad4e1bd664dec88b0a2a8e55959067c534edc397a04075563d8d439",
     "euler-two-optimal.csv": "e3e7c964ad9d3a489e5c5336fd4470409769cbf9494bfec3f77c840467a417a6",
     "frontier.csv": "7123e942a059be067e4a4b9f804637d8782ad1c975f392e10ef00df64e2b26a1",

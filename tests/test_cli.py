@@ -104,6 +104,25 @@ def test_ensemble_command(tmp_path, capsys):
     assert (tmp_path / "ens_t0.csv").exists() and (tmp_path / "ens_t1.csv").exists()
 
 
+def test_ensemble_with_every_trajectory_aborted_exits_three(tmp_path, capsys):
+    # the analytic gain at this coarse step throws every trajectory out of
+    # the renormalisation window; there is nothing to average, but each
+    # trajectory's partial CSV is written and each abort is named
+    out = tmp_path / "e.csv"
+    code = main(["ensemble", "--mode", "single", "--twice-j", "2", "--scheme", "analytic",
+                 "--delta-v", "0.1", "--v-max", "20", "--ensemble", "4", "--out", str(out)])
+    assert code == EXIT_ABORT
+    captured = capsys.readouterr()
+    assert "0/4 trajectories ok" in captured.out
+    assert [line.split(" aborted")[0] for line in captured.err.splitlines()] == [
+        f"trajectory {i}" for i in range(4)
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"e_t{i}.csv" for i in range(4)]
+    for i in range(4):
+        _, columns = read_csv(tmp_path / f"e_t{i}.csv")
+        assert 0 < len(columns["v"]) < 201
+
+
 def test_frontier_command(tmp_path, capsys):
     out = tmp_path / "front.csv"
     code = main(["frontier", "--mode", "two", "--twice-j", "1",

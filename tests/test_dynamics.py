@@ -122,6 +122,9 @@ def test_quarter_period_run_builds_only_what_it_reads(scheme):
 
 
 def test_quarter_period_steps_are_exactly_hermitian(monkeypatch):
+    # every feedback step keeps the state Hermitian to the last bit once
+    # the start is made so: the averaged quarter-period steps, and the
+    # Euler steps of the static frame and of an off-node omega
     from spinlab import dynamics
 
     steps = []
@@ -132,13 +135,22 @@ def test_quarter_period_steps_are_exactly_hermitian(monkeypatch):
         return out
 
     monkeypatch.setattr(dynamics, "unconditioned_step", recording_step)
-    rho0 = random_density(16, seed=21)  # complex, not real
-    rho0[0, 1] += 1e-15  # and not bitwise Hermitian until the run makes it so
-    _, rec = _quarter_period_run(3, rho0, v_max=0.03)
-    assert rec.ok and len(steps) == 30
-    for out in steps:
-        again = 0.5 * (out + out.conj().T)
-        assert np.array_equal(out.view(np.uint64), again.view(np.uint64))
+    dv = 1e-3
+    runs = {
+        "averaged": (two_mode_frame(3, omega=math.pi / (2 * dv)), "simple"),
+        "euler-single": (single_mode_frame(3), "simple"),
+        "euler-omega": (two_mode_frame(3, omega=7.3), "optimal"),
+    }
+    for name, (fr, scheme) in runs.items():
+        steps.clear()
+        rho0 = random_density(fr.dim, seed=21)  # complex, not real
+        rho0[0, 1] += 1e-15  # and not bitwise Hermitian until the run makes it so
+        spec = EvolutionSpec(frame=fr, delta_v=dv, v_max=0.03, record_stride=5)
+        rec = evolve(rho0, spec, FeedbackScheme(scheme))
+        assert rec.ok and len(steps) == 30, name
+        for out in steps:
+            again = 0.5 * (out + out.conj().T)
+            assert np.array_equal(out.view(np.uint64), again.view(np.uint64)), name
 
 
 def test_averaged_rate_needs_two_mode_frame():
@@ -398,7 +410,7 @@ def test_countertwist_propagator_needs_an_imaginary_hamiltonian():
 
 def _watch_stacks(monkeypatch, dtype=None):
     """Record the dtype of every stack the step loop hands a step; with
-    dtype given, the loop starts from rho0 cast to it."""
+    dtype given, the loop starts from rho0 cast to it and steps that dtype."""
     seen = set()
     loop = dynamics.integrate
 
@@ -407,8 +419,9 @@ def _watch_stacks(monkeypatch, dtype=None):
             seen.add(rho.dtype)
             return step(rho, *rest)
 
-        start = rho0 if dtype is None else rho0.astype(dtype)
-        return loop(start, spec, controller, spied, *args, **kwargs)
+        if dtype is None:
+            return loop(rho0, spec, controller, spied, *args, **kwargs)
+        return loop(rho0.astype(dtype), spec, controller, spied, *args, **{**kwargs, "real_step": False})
 
     monkeypatch.setattr(dynamics, "integrate", watched)
     monkeypatch.setattr(stochastic, "integrate", watched)
@@ -421,6 +434,9 @@ _REAL_PATHS = {
     "euler-single": dict(mode="single", twice_j=6, scheme="simple", v_max=2.0),
     "countertwist-two": dict(mode="two", twice_j=4, scheme="countertwist", v_max=1.0),
     "countertwist-single": dict(mode="single", twice_j=6, scheme="countertwist", v_max=1.0),
+    "cond-single": dict(
+        mode="single", twice_j=6, scheme="simple-conditioned", conditioned=True, seed=3, v_max=2.0
+    ),
 }
 
 
@@ -428,11 +444,11 @@ _REAL_PATHS = {
 def test_real_run_matches_complex_stepped_run(name, monkeypatch):
     config = SimConfig(stride=10, **_REAL_PATHS[name])
     seen = _watch_stacks(monkeypatch)
-    real = evolve(config.initial_state(), config.spec(), config.controller())
+    real = run_scenario(config)
     assert seen == {np.dtype(float)}
     monkeypatch.undo()
     seen = _watch_stacks(monkeypatch, complex)
-    full = evolve(config.initial_state(), config.spec(), config.controller())
+    full = run_scenario(config)
     assert seen == {np.dtype(complex)}
     assert real.ok and full.ok and real.n_rows == full.n_rows
     # zeta < chi flips wherever the two tie to rounding, as at the coherent start
@@ -455,7 +471,7 @@ def test_real_run_matches_complex_stepped_run(name, monkeypatch):
         (dict(mode="single", twice_j=2, scheme="countertwist"), float),
         (dict(mode="two", twice_j=2, scheme="optimal", omega=7.3), complex),
         (dict(mode="two", twice_j=2, scheme="simple-conditioned", conditioned=True), complex),
-        (dict(mode="single", twice_j=2, scheme="simple-conditioned", conditioned=True), complex),
+        (dict(mode="single", twice_j=2, scheme="simple-conditioned", conditioned=True), float),
     ],
     ids=["averaged", "euler-single", "countertwist-two", "countertwist-single", "euler-omega", "cond-two",
          "cond-single"],

@@ -1,8 +1,9 @@
 """Package layout rules, checked on the source: each module reaches the
 others only through their public names, the frame's operators are read
 only through its public methods and at a time only through frame.at(v),
-one module owns process fan-out, one function loops over the steps, and
-every name the benchmark tracer wraps exists. Also that a run on frame
+one module owns process fan-out, one function loops over the steps, one
+function decides whether a stack is stepped as float64, and every name
+the benchmark tracer wraps exists. Also that a run on frame
 nodes builds none of the frame's cross terms."""
 
 import ast
@@ -81,39 +82,50 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-class _StepLoops(ast.NodeVisitor):
-    """Names of the functions holding a loop over spec.n_steps, each loop
-    counted in its innermost function."""
+def _functions_holding(match) -> list[str]:
+    """module.function for each node of the package source that match
+    accepts, each named by its innermost enclosing function."""
+    found = []
 
-    def __init__(self, module):
-        self.module, self.functions, self.found = module, [], []
+    def visit(node, where):
+        if match(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            inner = isinstance(child, ast.FunctionDef)
+            visit(child, f"{where.partition('.')[0]}.{child.name}" if inner else where)
 
-    def visit_FunctionDef(self, node):
-        self.functions.append(node.name)
-        self.generic_visit(node)
-        self.functions.pop()
+    for module, tree in SOURCES.items():
+        visit(tree, module)
+    return found
 
-    def _loop(self, node, head):
-        if any(isinstance(x, ast.Attribute) and x.attr == "n_steps" for x in ast.walk(head)):
-            self.found.append(".".join([self.module] + self.functions[-1:]))
-        self.generic_visit(node)
 
-    def visit_For(self, node):
-        self._loop(node, node.iter)
-
-    def visit_While(self, node):
-        self._loop(node, node.test)
+def _steps_loop(node) -> bool:
+    head = node.iter if isinstance(node, ast.For) else node.test if isinstance(node, ast.While) else None
+    return head is not None and any(isinstance(x, ast.Attribute) and x.attr == "n_steps" for x in ast.walk(head))
 
 
 def test_one_function_loops_over_the_steps():
     # integrate steps every run, one state or a stack; a second loop over
     # the steps would be a second integrator to keep in line with it
-    found = []
-    for module, tree in SOURCES.items():
-        visitor = _StepLoops(module)
-        visitor.visit(tree)
-        found += visitor.found
-    assert found == ["dynamics.integrate"]
+    assert _functions_holding(_steps_loop) == ["dynamics.integrate"]
+
+
+def _asks_if_a_state_is_real(node) -> bool:
+    """rho<...>.imag.any(): the test that a start state is exactly real."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "any"
+        and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "imag"
+        and isinstance(node.func.value.value, ast.Name) and node.func.value.value.id.startswith("rho")
+    )
+
+
+def test_one_function_decides_the_stack_dtype():
+    # "the step keeps a real state real and rho0 is exactly real, so step
+    # float64" is one rule; a second site would be a second rule to keep
+    # in line with it, as evolve's and the conditioned path's once were
+    found = _functions_holding(_asks_if_a_state_is_real)
+    assert len(set(found)) == 1, found
 
 
 def test_every_traced_site_resolves():

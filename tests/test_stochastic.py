@@ -106,6 +106,49 @@ def test_step_keeps_pure_states_nearly_pure():
     assert purity > 1.0 - 5e-3
 
 
+def test_real_stack_steps_as_the_complex_stack_real_part():
+    frame = single_mode_frame(4)
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_density(frame.dim, seed=s).real for s in range(4)])  # real states
+    lam = np.array([0.7, 0.0, -1.3, 0.2])
+    dw = rng.normal(scale=0.03, size=4)
+    real = conditioned_step(stack, frame, 0.0, lam, 1e-3, dw)
+    full = conditioned_step(stack.astype(complex), frame, 0.0, lam, 1e-3, dw)
+    assert real[0].dtype == np.dtype(float) and full[0].dtype == np.dtype(complex)
+    assert not full[0].imag.any()
+    assert np.abs(real[0] - full[0].real).max() <= 1e-15
+    for got, want in zip(real[1:], full[1:]):
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def _step_with_y_kick(rho, frame, v, lam, delta_v, dw):
+    """conditioned_step with the kick written as -1j (L dY) Y, not with K:
+    the form the step had before it took K = -iY."""
+    at = frame.at(v)
+    z, z2 = at.z, at.z2
+    mz = expect_real(z, rho)
+    zr = z @ rho
+    half = z2 @ rho
+    mid = rho + delta_v * (zr @ z - 0.5 * (half + half.conj().T))
+    mid += dw * (zr + zr.conj().T - 2.0 * mz * rho)
+    kick = lam * (2.0 * mz * delta_v + dw)
+    u = -1j * kick * at.y - 0.5 * kick * kick * at.y2
+    u.reshape(-1)[:: u.shape[-1] + 1] += 1.0
+    mid = u @ mid @ u.conj().T
+    mid /= np.trace(mid).real
+    return 0.5 * (mid + mid.conj().T)
+
+
+@pytest.mark.parametrize("omega, v", ((math.pi / 2e-3, 0.003), (7.3, 0.123)), ids=("node", "off-node"))
+def test_two_mode_kick_through_k_keeps_the_y_form_bits(omega, v):
+    # K = -iY is exact, so the two-mode conditioned bytes do not move
+    frame = two_mode_frame(2, omega=omega)
+    rho = random_density(frame.dim, seed=9)
+    out, _, _ = conditioned_step(rho, frame, v, 0.7, 1e-3, -0.03)
+    want = _step_with_y_kick(rho, frame, v, 0.7, 1e-3, -0.03)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
 # ----------------------------------------------------------- trajectories
 
 
@@ -406,7 +449,7 @@ def test_trajectory_replays_across_a_noise_block_boundary():
     rho0 = css_rho("single", 2)
     rec = trajectory_run(rho0, spec, controller, seed=2, traj_index=1)
     stream = WienerStream(2, 1)
-    rho = rho0.astype(complex)
+    rho = rho0.real  # the run steps this real start as float64
     for n in range(spec.n_steps):
         lam, _ = controller.gain(rho, frame, n * dv)
         rho, _, _ = conditioned_step(rho, frame, n * dv, lam, dv, stream.increment(dv))
