@@ -54,8 +54,10 @@ so the drive S rho + (S rho)^dag folds into Q, and r^dag r folds into the
 frame's bundle at v, frame.at(v), via r^dag r = Z^2 + L^2 Y^2 - L X. The averaged
 rate multiplies by no dense operator: J_z^+ and J_z^- are diagonal in
 the |m1, m2> basis, and J_y^+ and J_y^- act one sample at a time through
-the d x d factor of J_y (d = 2j + 1), so each of its four products costs
-dim^2 d instead of dim^3.
+the d x d factor of J_y (d = 2j + 1). J_y^+ rho and J_y^- rho are the sum
+and difference of one shared pair of per-sample products, so the rate
+makes six products with that factor, each costing dim^2 d instead of
+dim^3.
 """
 
 from __future__ import annotations
@@ -156,10 +158,10 @@ def feedback_rate(frame: MeasurementFrame, rho, v: float, lam: float):
     return w
 
 
-def _kron_sum_apply(k, x, sign: float, out, other):
-    """Write (K (x) 1 + sign 1 (x) K) x into out, for a per-sample real
-    factor K (d x d) and C-contiguous n x n arrays x, out and other
-    (scratch) of one dtype, n = d^2; returns out.
+def _per_sample_products(k, x, p, q):
+    """Write P = (K (x) 1) x into p and Q = (1 (x) K) x into q, for a
+    per-sample real factor K (d x d) and C-contiguous n x n arrays x, p
+    and q of one dtype, n = d^2; (K (x) 1 -/+ 1 (x) K) x is then P -/+ Q.
 
     The |m1, m2> index splits as (m1, m2), so K (x) 1 acts on x as a
     (d, d n) array and 1 (x) K on each of its d row blocks; both are d x d
@@ -167,14 +169,9 @@ def _kron_sum_apply(k, x, sign: float, out, other):
     imaginary parts alike. Costs O(n^2 d) and builds no n x n operator.
     """
     d = k.shape[0]
-    xf, of, otherf = x.view(float), out.view(float), other.view(float)
-    np.matmul(k, xf.reshape(d, -1), out=of.reshape(d, -1))
-    np.matmul(k, xf.reshape(d, d, -1), out=otherf.reshape(d, d, -1))
-    if sign > 0:
-        of += otherf
-    else:
-        of -= otherf
-    return out
+    xf = x.view(float)
+    np.matmul(k, xf.reshape(d, -1), out=p.view(float).reshape(d, -1))
+    np.matmul(k, xf.reshape(d, d, -1), out=q.view(float).reshape(d, d, -1))
 
 
 def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None = None):
@@ -191,55 +188,65 @@ def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None
             + L [E, a - a^dag]/4 - F o rho,
 
     where F o rho dephases rho_ij at rate ((d_i - d_j)^2 + L^2 (e_i - e_j)^2)/8
-    for the diagonals d of D and e of E. That is four products with A or
-    B, each applied one sample at a time, and no n x n operator; G + G^dag
-    is Hermitian to the last bit.
+    for the diagonals d of D and e of E. A = K (x) 1 - 1 (x) K and
+    B = K (x) 1 + 1 (x) K, so a and b are P - Q and P + Q of one pair of
+    per-sample products P = (K (x) 1) rho and Q = (1 (x) K) rho, and the
+    exact 1/4 of A [A, rho]/4 rides on a stored K/4: six products with the
+    d x d factor K (four when L = 0), each applied one sample at a time,
+    and no n x n operator; G + G^dag is Hermitian to the last bit.
 
     The intermediates live in scratch, a dict the first call fills with
-    n x n work arrays, five in rho's dtype and three real; a run passes the
-    same dict to every step, so only the returned rate is allocated per step.
-    A dozen fresh n x n temporaries per step would grow the heap and hand
-    it back to the system every step, and each 4 KiB page is a fault when
-    touched again. Between calls the work arrays hold nothing.
+    n x n arrays, five in rho's dtype and three real, and with K/4; a run
+    passes the same dict to every step, so only the returned rate is
+    allocated per step. A dozen fresh n x n temporaries per step would grow
+    the heap and hand it back to the system every step, and each 4 KiB page
+    is a fault when touched again. Two of the real arrays hold the run
+    constants (d_i - d_j)^2 and e_i - e_j, built by the first call, so a
+    scratch dict belongs to one frame; between calls the other six hold
+    nothing.
     """
     if frame.mode != "two":
         raise ValueError("the period-averaged generator needs a two-mode frame")
     rho = np.ascontiguousarray(rho)
     if scratch is None:
         scratch = {}
+    k, d = frame.jy_factor, frame.jzp_diag
     if not scratch:
+        e = -frame.jzm_diag
         scratch["work"] = np.empty((5,) + rho.shape, dtype=rho.dtype)
         scratch["real"] = np.empty((3,) + rho.shape)
-    a, a_dag, inner, g, t = scratch["work"]
-    dephase, de, tr = scratch["real"]
-    k, d, e = frame.jy_factor, frame.jzp_diag, -frame.jzm_diag
-    _kron_sum_apply(k, rho, -1.0, a, t)
-    np.conjugate(a.T, out=a_dag)
-    np.add(a, a_dag, out=inner)
-    inner *= 0.25
-    _kron_sum_apply(k, inner, -1.0, g, t)
-    np.subtract(d[:, None], d, out=dephase)
-    np.square(dephase, out=dephase)
-    if lam != 0.0:
+        dd2, de, _ = scratch["real"]
+        np.square(np.subtract(d[:, None], d, out=dd2), out=dd2)
         np.subtract(e[:, None], e, out=de)
-        np.multiply(lam, de, out=tr)
-        dephase += np.square(tr, out=tr)
-        de *= 0.25 * lam
-        a -= a_dag
-        g += np.multiply(de, a, out=t)
-        b = _kron_sum_apply(k, rho, 1.0, a_dag, t)  # a^dag is spent
-        np.conjugate(b.T, out=inner)
-        inner += b
+        scratch["quarter_k"] = 0.25 * k
+    p, q, a, g, t = scratch["work"]
+    dd2, de, tr = scratch["real"]
+    # on a float64 array x.conj() is x itself, so x.T.conj() is x^dag as a view
+    _per_sample_products(k, rho, p, q)
+    np.subtract(p, q, out=a)
+    if lam != 0.0:
+        b = np.add(p, q, out=q)  # P is spent
+    np.add(a, a.T.conj(), out=p)
+    _per_sample_products(scratch["quarter_k"], p, g, t)
+    g -= t
+    if lam != 0.0:
+        np.multiply(de, 0.25 * lam, out=tr)
+        g += np.multiply(tr, np.subtract(a, a.T.conj(), out=p), out=t)
+        inner = np.add(b, b.T.conj(), out=p)
         inner *= 0.25 * lam * lam
         np.add(d[:, None], d, out=tr)
         np.multiply(0.5 * lam, tr, out=tr)
         inner += np.multiply(tr, rho, out=t)
-        g += _kron_sum_apply(k, inner, 1.0, b, t)
-    dephase *= -0.125
-    g += np.multiply(dephase, rho, out=t)
-    out = np.conj(g.T, order="C")
-    out += g
-    return out
+        _per_sample_products(k, inner, b, t)  # b is spent
+        b += t
+        g += b
+        np.square(np.multiply(lam, de, out=tr), out=tr)
+        tr += dd2
+        tr *= -0.125
+    else:
+        np.multiply(dd2, -0.125, out=tr)
+    g += np.multiply(tr, rho, out=t)
+    return np.add(g, g.T.conj(), out=np.empty_like(g))
 
 
 def unconditioned_step(
@@ -494,10 +501,11 @@ def evolve(
             rate = averaged_rate(frame, rho, lam, scratch)
             combined = rate
             if last_rate is not None:
-                # the rate's work arrays are free until the next call
-                combined, half_last = scratch["work"][:2]
-                np.multiply(1.5, rate, out=combined)
-                combined -= np.multiply(0.5, last_rate, out=half_last)
+                # the rate's work arrays are free until the next call, and
+                # the last rate is read here for the last time
+                combined = np.multiply(1.5, rate, out=scratch["work"][0])
+                last_rate *= 0.5
+                combined -= last_rate
             last_rate = rate
             return unconditioned_step(rho, frame, v, lam, dv, rate=combined)
 

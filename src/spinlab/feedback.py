@@ -164,8 +164,8 @@ class FeedbackScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown feedback scheme {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if not self.clamp > 0:
-            raise ValueError("clamp must be positive")
+        if not 0 < self.clamp < math.inf:
+            raise ValueError(f"clamp must be finite and positive, got {self.clamp!r}")
 
     def gain(self, rho, frame: MeasurementFrame, v):
         """(gain, clamped) for the current state and time; rho is one

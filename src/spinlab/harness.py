@@ -92,8 +92,8 @@ class SimConfig:
             raise ConfigError(f"ensemble: need a positive integer, got {self.ensemble!r}")
         if not isinstance(self.stride, int) or self.stride < 1:
             raise ConfigError(f"stride: need a positive integer, got {self.stride!r}")
-        if not self.clamp > 0:
-            raise ConfigError(f"clamp: need a positive gain bound, got {self.clamp!r}")
+        if not 0 < self.clamp < math.inf:
+            raise ConfigError(f"clamp: need a finite positive gain bound, got {self.clamp!r}")
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ConfigError(f"jobs: need a positive integer, got {self.jobs!r}")
         if self.conditioned and self.scheme == "countertwist":

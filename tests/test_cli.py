@@ -46,11 +46,12 @@ def test_config_errors_exit_two(capsys):
         (["figure", "fig5", "--jobs", "-2"], "jobs"),
         (["run", "--v-max", "inf"], "v-max"),
         (["run", "--omega", "nan"], "omega"),
+        (["run", "--clamp", "inf"], "clamp"),
     ],
     ids=[
         "sweep-delta-v", "sweep-twice-j", "optimal-states-twice-j", "frontier-twice-j",
         "frontier-n-mu-zero", "frontier-n-mu-negative", "sweep-jobs", "figure-jobs",
-        "run-v-max-inf", "run-omega-nan",
+        "run-v-max-inf", "run-omega-nan", "run-clamp-inf",
     ],
 )
 def test_bad_input_exits_two(argv, field, capsys):

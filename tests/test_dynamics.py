@@ -153,6 +153,97 @@ def test_quarter_period_steps_are_exactly_hermitian(monkeypatch):
             assert np.array_equal(out.view(np.uint64), again.view(np.uint64)), name
 
 
+def _eight_product_rate(frame, rho, lam, scratch):
+    """averaged_rate as it was written with A rho and B rho each from their
+    own two per-sample products: eight products with K where the rate now
+    makes six, every other operation the same."""
+
+    def kron_sum_apply(k, x, sign, out, other):
+        d = k.shape[0]
+        xf, of, otherf = x.view(float), out.view(float), other.view(float)
+        np.matmul(k, xf.reshape(d, -1), out=of.reshape(d, -1))
+        np.matmul(k, xf.reshape(d, d, -1), out=otherf.reshape(d, d, -1))
+        if sign > 0:
+            of += otherf
+        else:
+            of -= otherf
+        return out
+
+    rho = np.ascontiguousarray(rho)
+    if not scratch:
+        scratch["work"] = np.empty((5,) + rho.shape, dtype=rho.dtype)
+        scratch["real"] = np.empty((3,) + rho.shape)
+    a, a_dag, inner, g, t = scratch["work"]
+    dephase, de, tr = scratch["real"]
+    k, d, e = frame.jy_factor, frame.jzp_diag, -frame.jzm_diag
+    kron_sum_apply(k, rho, -1.0, a, t)
+    np.conjugate(a.T, out=a_dag)
+    np.add(a, a_dag, out=inner)
+    inner *= 0.25
+    kron_sum_apply(k, inner, -1.0, g, t)
+    np.subtract(d[:, None], d, out=dephase)
+    np.square(dephase, out=dephase)
+    if lam != 0.0:
+        np.subtract(e[:, None], e, out=de)
+        np.multiply(lam, de, out=tr)
+        dephase += np.square(tr, out=tr)
+        de *= 0.25 * lam
+        a -= a_dag
+        g += np.multiply(de, a, out=t)
+        b = kron_sum_apply(k, rho, 1.0, a_dag, t)
+        np.conjugate(b.T, out=inner)
+        inner += b
+        inner *= 0.25 * lam * lam
+        np.add(d[:, None], d, out=tr)
+        np.multiply(0.5 * lam, tr, out=tr)
+        inner += np.multiply(tr, rho, out=t)
+        g += kron_sum_apply(k, inner, 1.0, b, t)
+    dephase *= -0.125
+    g += np.multiply(dephase, rho, out=t)
+    out = np.conj(g.T, order="C")
+    out += g
+    return out
+
+
+@pytest.mark.parametrize("lam", (0.0, 0.37, -2.1, 1e3))
+@pytest.mark.parametrize("twice_j", (1, 2, 3, 10))
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_averaged_rate_keeps_the_eight_product_bits(dtype, twice_j, lam):
+    # three calls through one scratch dict each: a run constant the rate
+    # overwrote would show on the second or third
+    fr = two_mode_frame(twice_j, omega=math.pi / 2e-3)
+    scratch, oracle_scratch = {}, {}
+    for seed in range(3):
+        rho = _real_density(fr.dim, seed) if dtype is float else random_density(fr.dim, seed)
+        got = averaged_rate(fr, rho, lam, scratch)
+        want = _eight_product_rate(fr, rho, lam, oracle_scratch)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_averaged_rate_makes_six_products_in_eight_arrays(dtype, monkeypatch):
+    fr = two_mode_frame(4, omega=math.pi / 2e-3)
+    n = fr.dim
+    rho = _real_density(n, seed=3) if dtype is float else random_density(n, seed=3)
+    products = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        products.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    scratch = {}
+    for lam, count in ((0.7, 6), (0.0, 4), (-1.3, 6)):
+        products.clear()
+        averaged_rate(fr, rho, lam, scratch)
+        # each with the d x d per-sample factor, never an n x n operator
+        assert products == [(5, 5)] * count, lam
+        held = sum(x.nbytes for x in scratch.values() if x.shape[-2:] == (n, n))
+        assert held <= 5 * n * n * rho.itemsize + 3 * n * n * 8
+
+
 def test_averaged_rate_needs_two_mode_frame():
     with pytest.raises(ValueError):
         averaged_rate(single_mode_frame(2), css_rho("single", 2), 0.5)

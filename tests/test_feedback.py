@@ -159,6 +159,9 @@ def test_scheme_validation():
         FeedbackScheme("bogus")
     with pytest.raises(ValueError):
         FeedbackScheme("simple", clamp=0.0)
+    # an infinite bound would hand a diverging gain to the step as +-inf
+    with pytest.raises(ValueError, match="clamp"):
+        FeedbackScheme("simple", clamp=math.inf)
 
 
 def test_clamp_flags_and_signs():

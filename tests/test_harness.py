@@ -42,6 +42,7 @@ from spinlab.harness import (
         (dict(clamp=0.0), "clamp"),
         (dict(jobs=0), "jobs"),
         (dict(conditioned=True, scheme="countertwist"), "scheme"),
+        (dict(clamp=math.inf), "clamp"),
     ],
 )
 def test_config_validation_names_the_field(kw, token):
