@@ -54,10 +54,10 @@ so the drive S rho + (S rho)^dag folds into Q, and r^dag r folds into the
 frame's bundle at v, frame.at(v), via r^dag r = Z^2 + L^2 Y^2 - L X. The averaged
 rate multiplies by no dense operator: J_z^+ and J_z^- are diagonal in
 the |m1, m2> basis, and J_y^+ and J_y^- act one sample at a time through
-the d x d factor of J_y (d = 2j + 1). J_y^+ rho and J_y^- rho are the sum
-and difference of one shared pair of per-sample products, so the rate
-makes six products with that factor, each costing dim^2 d instead of
-dim^3.
+the d x d factor of J_y (d = 2j + 1): one shared pair of per-sample
+products gives J_y^+ rho and J_y^- rho, and one more pair the regrouped
+second-order terms, so the rate makes four products with that factor,
+each costing dim^2 d instead of dim^3.
 """
 
 from __future__ import annotations
@@ -158,20 +158,25 @@ def feedback_rate(frame: MeasurementFrame, rho, v: float, lam: float):
     return w
 
 
-def _per_sample_products(k, x, p, q):
-    """Write P = (K (x) 1) x into p and Q = (1 (x) K) x into q, for a
-    per-sample real factor K (d x d) and C-contiguous n x n arrays x, p
-    and q of one dtype, n = d^2; (K (x) 1 -/+ 1 (x) K) x is then P -/+ Q.
-
-    The |m1, m2> index splits as (m1, m2), so K (x) 1 acts on x as a
-    (d, d n) array and 1 (x) K on each of its d row blocks; both are d x d
-    products on the float view, since real K acts on the real and any
-    imaginary parts alike. Costs O(n^2 d) and builds no n x n operator.
-    """
+def _per_sample_products(k, x, y, p, q):
+    """Write P = (K (x) 1) x into p, then Q = (1 (x) K) y into q (q may be
+    x), for a per-sample real factor K (d x d) and C-contiguous n x n
+    arrays of one dtype, n = d^2. The |m1, m2> index splits as (m1, m2),
+    so K (x) 1 acts on x as a (d, d n) array and 1 (x) K on each of y's d
+    row blocks, both on the float view: real K acts on the real and any
+    imaginary parts alike. Costs O(n^2 d) and builds no n x n operator."""
     d = k.shape[0]
-    xf = x.view(float)
-    np.matmul(k, xf.reshape(d, -1), out=p.view(float).reshape(d, -1))
-    np.matmul(k, xf.reshape(d, d, -1), out=q.view(float).reshape(d, d, -1))
+    np.matmul(k, x.view(float).reshape(d, -1), out=p.view(float).reshape(d, -1))
+    np.matmul(k, y.view(float).reshape(d, d, -1), out=q.view(float).reshape(d, d, -1))
+
+
+def _plus_dagger(x, out):
+    """x + x^dag into out, Hermitian to the last bit, through the real and
+    imaginary views: a complex x.T.conj() would be a copy."""
+    if x.dtype.kind == "c":
+        np.subtract(x.imag, x.imag.T, out=out.imag)
+    np.add(x.real, x.real.T, out=out.real)
+    return out
 
 
 def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None = None):
@@ -184,69 +189,64 @@ def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None
     a = A rho, b = B rho, and [A, rho] = a + a^dag, [B, rho] = b + b^dag,
 
         (L0 + L1) rho / 2 = G + G^dag,
-        G = A [A, rho]/4 + B ([B, rho] L^2/4 + L (D rho + rho D)/2)
-            + L [E, a - a^dag]/4 - F o rho,
+        G = A [A, rho]/4 + B Y + L [E, a - a^dag]/4 - F o rho,
+        Y = [B, rho] L^2/4 + L (D rho + rho D)/2,
 
     where F o rho dephases rho_ij at rate ((d_i - d_j)^2 + L^2 (e_i - e_j)^2)/8
-    for the diagonals d of D and e of E. A = K (x) 1 - 1 (x) K and
-    B = K (x) 1 + 1 (x) K, so a and b are P - Q and P + Q of one pair of
-    per-sample products P = (K (x) 1) rho and Q = (1 (x) K) rho, and the
-    exact 1/4 of A [A, rho]/4 rides on a stored K/4: six products with the
-    d x d factor K (four when L = 0), each applied one sample at a time,
-    and no n x n operator; G + G^dag is Hermitian to the last bit.
+    for the diagonals d of D and e of E. As A = K (x) 1 - 1 (x) K and
+    B = K (x) 1 + 1 (x) K, a and b are P - Q and P + Q of the per-sample
+    products P = (K (x) 1) rho and Q = (1 (x) K) rho, and
+    A [A, rho]/4 + B Y = (K/4 (x) 1) U + (1 (x) K/4) V with
+    U = 4Y + [A, rho], V = 4Y - [A, rho]: four products with the d x d
+    factor K and no n x n operator. e_i - e_j is real antisymmetric, so the
+    Hermitian E term enters G as (L/2) (e_i - e_j) o a. G + G^dag is
+    Hermitian to the last bit.
 
-    The intermediates live in scratch, a dict the first call fills with
-    n x n arrays, five in rho's dtype and three real, and with K/4; a run
-    passes the same dict to every step, so only the returned rate is
-    allocated per step. A dozen fresh n x n temporaries per step would grow
-    the heap and hand it back to the system every step, and each 4 KiB page
-    is a fault when touched again. Two of the real arrays hold the run
-    constants (d_i - d_j)^2 and e_i - e_j, built by the first call, so a
-    scratch dict belongs to one frame; between calls the other six hold
-    nothing.
+    scratch is a dict the first call fills with K/4 and eight n x n arrays,
+    four in rho's dtype and four real ones holding the run constants
+    d_i + d_j, e_i - e_j and the two dephasing rates, so it belongs to one
+    frame. A run passes one dict to every step, so a step allocates only
+    the returned rate, not a dozen n x n temporaries whose pages fault in
+    again every step.
     """
     if frame.mode != "two":
         raise ValueError("the period-averaged generator needs a two-mode frame")
     rho = np.ascontiguousarray(rho)
-    if scratch is None:
-        scratch = {}
-    k, d = frame.jy_factor, frame.jzp_diag
+    scratch = {} if scratch is None else scratch
+    k = frame.jy_factor
     if not scratch:
-        e = -frame.jzm_diag
-        scratch["work"] = np.empty((5,) + rho.shape, dtype=rho.dtype)
-        scratch["real"] = np.empty((3,) + rho.shape)
-        dd2, de, _ = scratch["real"]
-        np.square(np.subtract(d[:, None], d, out=dd2), out=dd2)
+        d, e = frame.jzp_diag, -frame.jzm_diag
+        scratch["work"] = np.empty((4,) + rho.shape, dtype=rho.dtype)
+        scratch["real"] = np.empty((4,) + rho.shape)
+        ds, de, fd, fe = scratch["real"]
+        np.add(d[:, None], d, out=ds)
         np.subtract(e[:, None], e, out=de)
+        np.multiply(np.square(np.subtract(d[:, None], d, out=fd), out=fd), -0.125, out=fd)
+        np.multiply(np.square(de, out=fe), -0.125, out=fe)
         scratch["quarter_k"] = 0.25 * k
-    p, q, a, g, t = scratch["work"]
-    dd2, de, tr = scratch["real"]
-    # on a float64 array x.conj() is x itself, so x.T.conj() is x^dag as a view
-    _per_sample_products(k, rho, p, q)
+    (p, q, a, g), (ds, de, fd, fe) = scratch["work"], scratch["real"]
+    _per_sample_products(k, rho, rho, p, q)
     np.subtract(p, q, out=a)
     if lam != 0.0:
-        b = np.add(p, q, out=q)  # P is spent
-    np.add(a, a.T.conj(), out=p)
-    _per_sample_products(scratch["quarter_k"], p, g, t)
-    g -= t
-    if lam != 0.0:
-        np.multiply(de, 0.25 * lam, out=tr)
-        g += np.multiply(tr, np.subtract(a, a.T.conj(), out=p), out=t)
-        inner = np.add(b, b.T.conj(), out=p)
-        inner *= 0.25 * lam * lam
-        np.add(d[:, None], d, out=tr)
-        np.multiply(0.5 * lam, tr, out=tr)
-        inner += np.multiply(tr, rho, out=t)
-        _per_sample_products(k, inner, b, t)  # b is spent
-        b += t
-        g += b
-        np.square(np.multiply(lam, de, out=tr), out=tr)
-        tr += dd2
-        tr *= -0.125
+        q += p  # b
+        comm = _plus_dagger(a, p)
+        y = _plus_dagger(q, g)  # 4Y, built in place
+        y *= lam * lam
+        y += np.multiply(np.multiply(ds, rho, out=q), 2.0 * lam, out=q)
+        np.subtract(y, comm, out=q)  # V
+        comm += y  # U
     else:
-        np.multiply(dd2, -0.125, out=tr)
-    g += np.multiply(tr, rho, out=t)
-    return np.add(g, g.T.conj(), out=np.empty_like(g))
+        np.negative(_plus_dagger(a, p), out=q)
+        np.multiply(fd, rho, out=a)  # - F o rho
+    _per_sample_products(scratch["quarter_k"], p, q, g, p)
+    g += p
+    if lam != 0.0:
+        tr = q.view(float)[:, : q.shape[1]]  # a real n x n array in q's memory
+        a *= np.multiply(de, 0.5 * lam, out=tr)
+        np.add(np.multiply(fe, lam * lam, out=tr), fd, out=tr)
+        a += np.multiply(tr, rho, out=p)  # - F o rho
+    g += a
+    return _plus_dagger(g, np.empty_like(g))
 
 
 def unconditioned_step(
@@ -254,16 +254,17 @@ def unconditioned_step(
 ):
     """One step of the feedback master equation.
 
-    Forward Euler on feedback_rate, re-Hermitized, unless a rate is given:
-    evolve passes feedback_rate itself, or the averaged integrator's
-    Adams-Bashforth combination of averaged rates. Each is Hermitian to
-    the last bit (a rate is W + W^dag or G + G^dag, and real combinations
-    keep that), so from a Hermitian rho the step is already Hermitian and
-    re-Hermitizing would change nothing. Without a rate the step is
-    Hermitian from any rho.
+    Forward Euler on feedback_rate, re-Hermitized, unless a rate is given,
+    whose array then becomes the next state: feedback_rate itself, or the
+    averaged integrator's Adams-Bashforth combination of averaged rates.
+    Each is Hermitian to the last bit (W + W^dag or G + G^dag, and real
+    combinations keep that), so re-Hermitizing would change nothing.
+    Without a rate the step is Hermitian from any rho.
     """
     if rate is not None:
-        return rho + delta_v * rate
+        rate *= delta_v
+        rate += rho
+        return rate
     out = rho + delta_v * feedback_rate(frame, rho, v, lam)
     return 0.5 * (out + out.conj().T)
 
@@ -499,15 +500,14 @@ def evolve(
         def advance(rho, v, lam):
             nonlocal last_rate
             rate = averaged_rate(frame, rho, lam, scratch)
-            combined = rate
-            if last_rate is not None:
-                # the rate's work arrays are free until the next call, and
-                # the last rate is read here for the last time
-                combined = np.multiply(1.5, rate, out=scratch["work"][0])
-                last_rate *= 0.5
-                combined -= last_rate
-            last_rate = rate
-            return unconditioned_step(rho, frame, v, lam, dv, rate=combined)
+            combined, last_rate = last_rate, rate
+            if combined is None:  # one Euler step starts the rule
+                return unconditioned_step(rho, frame, v, lam, dv, rate=rate.copy())
+            # dv (1.5 rate - 0.5 last) = 1.5 dv (rate - last/3), built in the
+            # last rate, read here for the last time, which becomes the state
+            combined *= -1.0 / 3.0
+            combined += rate
+            return unconditioned_step(rho, frame, v, lam, 1.5 * dv, rate=combined)
 
     else:
 

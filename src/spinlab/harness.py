@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -225,12 +226,13 @@ def load_config(path=None, cli_overrides: dict | None = None) -> SimConfig:
 # CSV artifacts
 
 
-def _cells(column) -> list[str]:
-    """One column's CSV cells: a float array formatted in one pass, any
-    other sequence cell by cell through _fmt."""
-    if isinstance(column, np.ndarray):
-        return ["%.17g" % x for x in column.tolist()]
-    return [_fmt(x) for x in column]
+def _rows(columns) -> str:
+    """The CSV rows, each ending in a newline, given one sequence per
+    column: one % over a row template whose cell is "%s" for a text column
+    and "%.17g" for a numeric one, the bytes _fmt gives cell by cell."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    row = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
+    return row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def _write_csv(path, header, names, columns) -> Path:
@@ -238,10 +240,9 @@ def _write_csv(path, header, names, columns) -> Path:
     column list, then one line of cells per row, given one sequence per
     column."""
     lines = [f"# {CSV_FORMAT}", *header, "# columns = " + ",".join(names)]
-    lines += map(",".join, zip(*map(_cells, columns)))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n" + _rows(columns))
     return path
 
 

@@ -84,9 +84,9 @@ def artifact_hashes(out) -> dict:
 
 
 EXPECTED = {
-    "aborted-averaged.csv": "7ad401d35d857cf0f34dfabe326ead56b984bd94715ea4a468e10f07ba7e0c2d",
+    "aborted-averaged.csv": "d811d45c4693c5ca10808b00474aa5597070a9b9f776b8b0911fc1152e365725",
     "aborted-conditioned.csv": "56761c88212b1fea372fe92bae1b77f1307633915852525a6f52e0ca40a03d39",
-    "averaged-two.csv": "de1cd4ef2ae139f2449404d079e2b1855d3038f528eb47a33ced819888f4c5c0",
+    "averaged-two.csv": "277f4457a507b96fba38f688f952232209bc6f3152cbe64eebecec3d0b529886",
     "conditioned.csv": "967cfcb3a6d4680848a0e59335775a53882fcf4928bc1538e76b2e45c280c122",
     "countertwist-single.csv": "93244e453f4cca04a0c0a8397b0c77385c0c6b71b3eb4ae41e234a8fe3f66246",
     "countertwist-two.csv": "fa96efc20c002516d2e1315a7a18d4947dee2c5e80b0b2fbb5d14fb2fa8a2fc3",

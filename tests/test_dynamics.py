@@ -3,6 +3,7 @@ the integrator's recording/abort behaviour."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,20 +122,31 @@ def test_quarter_period_run_builds_only_what_it_reads(scheme):
     assert not built & {"_yc", "_ys"}
 
 
+def _wrap_steps(monkeypatch, wrap):
+    """Hand the step loop wrap(step) for every step evolve passes it."""
+    loop = dynamics.integrate
+
+    def wrapped(rho0, spec, controller, step, *args, **kwargs):
+        return loop(rho0, spec, controller, wrap(step), *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", wrapped)
+
+
 def test_quarter_period_steps_are_exactly_hermitian(monkeypatch):
     # every feedback step keeps the state Hermitian to the last bit once
     # the start is made so: the averaged quarter-period steps, and the
     # Euler steps of the static frame and of an off-node omega
-    from spinlab import dynamics
-
     steps = []
 
-    def recording_step(*args, **kwargs):
-        out = unconditioned_step(*args, **kwargs)
-        steps.append(out)
-        return out
+    def recording(step):
+        def recorded(*args):
+            out, raw = step(*args)
+            steps.append(out[0])
+            return out, raw
 
-    monkeypatch.setattr(dynamics, "unconditioned_step", recording_step)
+        return recorded
+
+    _wrap_steps(monkeypatch, recording)
     dv = 1e-3
     runs = {
         "averaged": (two_mode_frame(3, omega=math.pi / (2 * dv)), "simple"),
@@ -153,10 +165,46 @@ def test_quarter_period_steps_are_exactly_hermitian(monkeypatch):
             assert np.array_equal(out.view(np.uint64), again.view(np.uint64)), name
 
 
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_averaged_step_allocates_only_the_rate(dtype, monkeypatch):
+    # past the first step the rate's intermediates live in the run's
+    # scratch and the Adams-Bashforth update builds the next state in the
+    # spent last rate, so a step's only fresh n x n array is the rate
+    dv = 1e-3
+    fr = two_mode_frame(12, omega=math.pi / (2 * dv))
+    n = fr.dim
+    rho0 = _real_density(n, seed=4) if dtype is float else random_density(n, seed=4)
+    grown = []
+
+    def traced(step):
+        def measured(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = step(*args)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        return measured
+
+    _wrap_steps(monkeypatch, traced)
+    tracemalloc.start()
+    try:
+        rec = evolve(rho0, EvolutionSpec(frame=fr, delta_v=dv, v_max=0.01), FeedbackScheme("simple"))
+    finally:
+        tracemalloc.stop()
+    assert rec.ok and len(grown) == 10
+    array = n * n * np.dtype(dtype).itemsize
+    assert grown[0] > 8 * array  # the first call fills the scratch
+    # plus a little: a ufunc reading a transposed operand iterates through
+    # buffers (64 KiB at numpy's default size), which are not n x n arrays
+    assert max(grown[1:]) < array + 2**17, [g - array for g in grown]
+
+
 def _eight_product_rate(frame, rho, lam, scratch):
     """averaged_rate as it was written with A rho and B rho each from their
-    own two per-sample products: eight products with K where the rate now
-    makes six, every other operation the same."""
+    own two per-sample products and each of A and B applied as such: eight
+    products with K where the rate now makes four. Kept as the oracle the
+    regrouped rate must match to rounding."""
 
     def kron_sum_apply(k, x, sign, out, other):
         d = k.shape[0]
@@ -209,8 +257,10 @@ def _eight_product_rate(frame, rho, lam, scratch):
 @pytest.mark.parametrize("twice_j", (1, 2, 3, 10))
 @pytest.mark.parametrize("dtype", (float, complex))
 def test_averaged_rate_keeps_the_eight_product_bits(dtype, twice_j, lam):
-    # three calls through one scratch dict each: a run constant the rate
-    # overwrote would show on the second or third
+    # the regrouped sums round differently from the eight-product rate, so
+    # it is matched to rounding; at L = 0 the two make the same operations
+    # and match bit for bit. Three calls through one scratch dict each: a
+    # run constant the rate overwrote would show on the second or third
     fr = two_mode_frame(twice_j, omega=math.pi / 2e-3)
     scratch, oracle_scratch = {}, {}
     for seed in range(3):
@@ -218,11 +268,16 @@ def test_averaged_rate_keeps_the_eight_product_bits(dtype, twice_j, lam):
         got = averaged_rate(fr, rho, lam, scratch)
         want = _eight_product_rate(fr, rho, lam, oracle_scratch)
         assert got.dtype == want.dtype and got.flags.c_contiguous
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), seed
+        # Hermitian to the last bit: re-Hermitizing changes nothing
+        again = 0.5 * (got + got.conj().T)
+        assert np.array_equal(got.view(np.uint64), again.view(np.uint64)), seed
+        if lam == 0.0:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
 
 
 @pytest.mark.parametrize("dtype", (float, complex))
-def test_averaged_rate_makes_six_products_in_eight_arrays(dtype, monkeypatch):
+def test_averaged_rate_makes_four_products_in_eight_arrays(dtype, monkeypatch):
     fr = two_mode_frame(4, omega=math.pi / 2e-3)
     n = fr.dim
     rho = _real_density(n, seed=3) if dtype is float else random_density(n, seed=3)
@@ -235,13 +290,14 @@ def test_averaged_rate_makes_six_products_in_eight_arrays(dtype, monkeypatch):
 
     monkeypatch.setattr(np, "matmul", counted)
     scratch = {}
-    for lam, count in ((0.7, 6), (0.0, 4), (-1.3, 6)):
+    for lam in (0.7, 0.0, -1.3):
         products.clear()
         averaged_rate(fr, rho, lam, scratch)
         # each with the d x d per-sample factor, never an n x n operator
-        assert products == [(5, 5)] * count, lam
-        held = sum(x.nbytes for x in scratch.values() if x.shape[-2:] == (n, n))
-        assert held <= 5 * n * n * rho.itemsize + 3 * n * n * 8
+        assert products == [(5, 5)] * 4, lam
+        held = [x for x in scratch.values() if x.shape[-2:] == (n, n)]
+        assert sum(math.prod(x.shape[:-2]) for x in held) == 8
+        assert sum(x.nbytes for x in held) <= 4 * n * n * rho.itemsize + 4 * n * n * 8
 
 
 def test_averaged_rate_needs_two_mode_frame():

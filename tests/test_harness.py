@@ -205,6 +205,29 @@ def test_frontier_csv_round_trip(tmp_path):
     assert np.array_equal(cols["zeta"], np.array([p.zeta for p in curve]))
 
 
+def test_csv_rows_match_cell_by_cell_formatting(tmp_path):
+    # every table is formatted by one % over a row template; its bytes are
+    # those of "%.17g" on each numeric cell, special values included, and of
+    # each text cell as it is
+    from spinlab.optimal_states import FrontierPoint
+
+    values = [0.0, -0.0, 0.1, 1 / 3, 5e-324, -2.5e300, math.inf, -math.inf, math.nan, np.float64(7)]
+    points = [FrontierPoint(x, -x, 2 * x, 0.0, False) for x in values]
+    path = write_frontier_csv(points, tmp_path / "front.csv")
+    rows = ["%.17g,%.17g,%.17g" % (p.mu, p.chi, p.zeta) for p in points]
+    lines = [f"# {CSV_FORMAT}", "# columns = mu,chi,zeta", *rows]
+    assert path.read_text() == "\n".join(lines) + "\n"
+    assert write_frontier_csv([], tmp_path / "empty.csv").read_text() == "\n".join(lines[:2]) + "\n"
+
+    from spinlab.metrics import SweepPoint
+
+    sweep = [SweepPoint("two", 2 * k + 1, "simple", x, 0.5, -x, "ok", False) for k, x in enumerate(values)]
+    path = write_sweep_csv(sweep, tmp_path / "sweep.csv")
+    rows = ["two,simple,%d,%.17g,%.17g" % (p.twice_j, p.xi2_min, p.scaled) for p in sweep]
+    lines = [f"# {CSV_FORMAT}", "# columns = mode,scheme,twice_j,xi2_min,scaled", *rows]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_sweep_csv_keeps_string_columns(tmp_path):
     from spinlab.metrics import SweepPoint
 
