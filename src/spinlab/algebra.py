@@ -40,6 +40,14 @@ first read. It also carries the per-sample factors (J_y = iK with K real,
 and the diagonals of J_z^+ and J_z^-); an integrator that applies them
 sample by sample pays O(dim^2 (2j+1)) per product instead of dim^3 and
 never builds the dense operators it does not read.
+
+A static frame may also carry a leading member axis: several spins, each
+member's J_x, J_y and J_z zero-padded to the largest spin's dimension in
+one (B, n, n) stack, with spin_j, zeta_norm and chi_norm one per member.
+Zero blocks stay exactly zero under every product, so each member's
+operators act on its own spin's corner of a padded state and every read
+of the frame is one value per member. members(keep) narrows the stack
+to the members kept, as a step loop does when runs end.
 """
 
 from __future__ import annotations
@@ -123,6 +131,12 @@ def _real(op: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(op.real)
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """The adjoint of a matrix, or of each matrix of a stack: a view of a
+    real array, a copy of a complex one."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def on_samples(op: np.ndarray):
     """(op (x) 1, 1 (x) op): a per-sample operator acting on sample 1 and
     on sample 2 of a two-sample system."""
@@ -187,7 +201,8 @@ class MeasurementFrame:
     This class is the static frame of one collective spin: Z = jz, Y = jy
     and X = jx as given. Its phase is (1, 0) at every v, so each operator
     is the cosine pair's product and one bundle serves the whole run.
-    TwoModeFrame rotates the pair.
+    TwoModeFrame rotates the pair. Given (B, n, n) stacks and one 2j per
+    member, it is the member-stacked frame of B spins.
     """
 
     mode = "single"
@@ -199,7 +214,7 @@ class MeasurementFrame:
 
     def __init__(self, jx, jy, jz, twice_j):
         self._zc, self._yc, self.x_op = _real(jz), jy, _real(jx)
-        self.dim = jx.shape[0]
+        self.dim = jx.shape[-1]
         self.spin_j = self.zeta_norm = self.chi_norm = twice_j / 2.0
 
     # the cosine pair's products: Z^2, Y^2, ZY + YZ and ZXZ at phase (1, 0)
@@ -243,6 +258,18 @@ class MeasurementFrame:
         if self._held is None or self._held.phase != phase:
             self._held = FrameAt(self, phase)
         return self._held
+
+    def members(self, keep):
+        """The frame of the members keep selects (an index or mask over the
+        member axis), with every operator and product built so far; this
+        frame itself when it has no member axis."""
+        if not isinstance(self.spin_j, np.ndarray):
+            return self
+        out = object.__new__(type(self))
+        for name, value in vars(self).items():
+            if name != "_held":
+                setattr(out, name, value[keep] if isinstance(value, np.ndarray) else value)
+        return out
 
 
 class TwoModeFrame(MeasurementFrame):
@@ -315,9 +342,25 @@ class TwoModeFrame(MeasurementFrame):
         return (float(np.cos(theta)), float(np.sin(theta)))
 
 
-def single_mode_frame(twice_j: int) -> MeasurementFrame:
-    mats = spin_matrices(twice_j)
-    return MeasurementFrame(mats.jx, mats.jy, mats.jz, twice_j)
+def stack_members(mats) -> np.ndarray:
+    """Square matrices of several sizes as one (B, n, n) stack, each in the
+    top-left corner of an n x n block of zeros, n the largest size."""
+    n = max(len(m) for m in mats)
+    out = np.zeros((len(mats), n, n), dtype=np.result_type(*mats))
+    for member, m in zip(out, mats):
+        member[: len(m), : len(m)] = m
+    return out
+
+
+def single_mode_frame(twice_j) -> MeasurementFrame:
+    """The static frame of one spin, or for a sequence of 2j values the
+    member-stacked frame of those spins, zero-padded to the largest."""
+    if not np.ndim(twice_j):
+        mats = spin_matrices(twice_j)
+        return MeasurementFrame(mats.jx, mats.jy, mats.jz, twice_j)
+    mats = [spin_matrices(tj) for tj in twice_j]
+    stacks = (stack_members([getattr(m, name) for m in mats]) for name in ("jx", "jy", "jz"))
+    return MeasurementFrame(*stacks, np.asarray(twice_j))
 
 
 def two_mode_frame(twice_j: int, omega: float) -> MeasurementFrame:
@@ -335,11 +378,14 @@ def expect_real(op: np.ndarray, rho):
     """Tr[op rho] for Hermitian op and rho (imag part is rounding noise);
     a real dot when both are float64.
 
-    rho is one n x n state or a (B, n, n) stack. The result is a float for
-    one state, a stack of one included, and a (B,) array for a larger
-    stack, each member's value bit for bit the one np.vdot gives for that
-    state alone.
+    rho is one n x n state or a (B, n, n) stack, and op one operator or,
+    on a stack, one per member. The result is a float for one state and
+    one operator, a stack of one included, and else a (B,) array, each
+    member's value bit for bit the one np.vdot gives for that state and
+    its operator alone.
     """
+    if op.ndim == 3:
+        return np.vecdot(rho.reshape(len(rho), -1), op.reshape(len(op), -1)).real
     if rho.size == op.size:
         return float(np.vdot(rho, op).real)
     return np.vecdot(rho.reshape(len(rho), -1), op.reshape(-1)).real

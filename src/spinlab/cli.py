@@ -32,7 +32,6 @@ from .harness import (
 )
 from .metrics import min_squeezing_sweep
 from .optimal_states import min_xi2_on_curve, optimal_curve
-from .stochastic import fan_out
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,11 +89,6 @@ def _cmd_figure(args) -> int:
     return EXIT_OK if all(s == "ok" for s in statuses.values()) else EXIT_ABORT
 
 
-def _sweep_one(task):
-    mode, twice_j, scheme, delta_v, v_max = task
-    return min_squeezing_sweep(mode, (twice_j,), scheme, delta_v=delta_v, v_max=v_max)
-
-
 def _positive(flag: str, value: int) -> int:
     if value < 1:
         raise ConfigError(f"{flag}: need a positive integer, got {value!r}")
@@ -111,8 +105,8 @@ def _cmd_sweep(args) -> int:
     v_max = args.v_max if args.v_max is not None else sweep_v_max(args.scheme)
     delta_v = args.delta_v if args.delta_v is not None else 1e-3
     jobs = _positive("jobs", args.jobs)
-    tasks = [(args.mode, _positive("twice-j", tj), args.scheme, delta_v, v_max) for tj in twice_j_values]
-    points = [p for chunk in fan_out(_sweep_one, tasks, jobs) for p in chunk]
+    spins = [_positive("twice-j", tj) for tj in twice_j_values]
+    points = min_squeezing_sweep(args.mode, spins, args.scheme, delta_v=delta_v, v_max=v_max, jobs=jobs)
     for p in points:
         note = "" if p.status == "ok" else f"  [{p.status}]"
         print(f"{p.mode:6s} {p.scheme:16s} 2j={p.twice_j:<3d} "

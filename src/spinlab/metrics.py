@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import MeasurementFrame, moments_of
+from .algebra import MeasurementFrame, moments_of, single_mode_frame, stack_members
 
 # below this polarisation the squeezing ratio is meaningless; report NaN
 CHI_FLOOR = 1e-6
@@ -16,6 +16,8 @@ CHI_FLOOR = 1e-6
 # the columns of a metrics row, in order; conditioned rows add the last two
 METRIC_COLUMNS = ("v", "zeta", "chi", "purity", "lam", "xi2", "entangled", "mz2", "zc_mean", "yc_mean")
 PLAIN_COLUMNS = METRIC_COLUMNS[:8]
+# the columns a sweep reads off each run
+SWEEP_COLUMNS = ("v", "zeta", "xi2")
 
 
 def _column(i: int, kind):
@@ -88,8 +90,9 @@ def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=Fa
     purity = np.add.reduce(rho.real**2 + rho.imag**2 if rho.dtype.kind == "c" else rho**2, axis=(-2, -1))
     values = [v, zeta, chi, purity, lam, squeezing_xi2(zeta, chi), zeta < chi, read(frame.at(v).z2), *means]
     shape = (len(values),) + rho.shape[:-2]
-    if purity.size == 1 and not isinstance(lam, np.ndarray):
-        # one state, so one number per column: the row fills in one pass
+    if not isinstance(zeta, np.ndarray) and not isinstance(lam, np.ndarray):
+        # one state read with shared operators, so one number per column:
+        # the row fills in one pass
         values[3] = purity.item()
         return MetricsRow(np.fromiter(values, float, len(values)).reshape(shape))
     row = np.empty(shape)
@@ -158,6 +161,7 @@ def min_squeezing_sweep(
     scheme: str,
     delta_v: float = 1e-3,
     v_max: float = 20.0,
+    jobs: int = 1,
 ):
     """Best squeezing per spin for one production scheme.
 
@@ -175,35 +179,63 @@ def min_squeezing_sweep(
     approach their best xi^2 asymptotically, so their minimum lands on the
     end of the resolved prefix (interior=False) about a percent above the
     true asymptote; "optimal-states" gives the exact value.
+
+    The spins go in groups, each integrated as one stack by one
+    dynamics.integrate call, and the groups fan out over up to jobs worker
+    processes through stochastic.fan_out. A single-mode time-integrated
+    sweep is one group: its spins share one member-stacked frame, each
+    zero-padded to the largest spin's dimension, so a step makes one gain
+    call, one metrics row and one rate for all of them. At small spins a
+    step costs numpy's per-call dispatch more than arithmetic, and the
+    stack pays for each call once instead of once per spin. A two-mode
+    sweep is one spin per group: its period-averaged step applies one
+    spin's d x d factor and is arithmetic-bound already at 2j = 10, so
+    padding the small spins up to the largest would multiply its work.
+    Each "optimal-states" point is a group of its own. Padding changes the
+    length and order of the sums a member's products and reads make, so a
+    single-mode point agrees with the same spin swept alone only to
+    rounding (dynamics.integrate states the measured bound), and can
+    differ at that level with the spins swept beside it.
     """
+    from .stochastic import fan_out  # deferred: stochastic imports this module
+
+    spins = [int(twice_j) for twice_j in twice_j_values]
+    if mode == "single" and scheme != "optimal-states":
+        groups = [tuple(spins)] if spins else []
+    else:
+        groups = [(twice_j,) for twice_j in spins]
+    tasks = [(mode, group, scheme, delta_v, v_max) for group in groups]
+    return [point for points in fan_out(_sweep_group, tasks, jobs) for point in points]
+
+
+def _sweep_group(task) -> list[SweepPoint]:
+    """The sweep points of one group of spins, integrated as one stack."""
     from . import dynamics  # deferred: dynamics and harness both import this module
     from .harness import SimConfig
     from .optimal_states import min_xi2_on_curve, optimal_curve
 
+    mode, group, scheme, delta_v, v_max = task
+    if scheme == "optimal-states":
+        (twice_j,) = group
+        best = min_xi2_on_curve(optimal_curve(mode, twice_j))
+        return [SweepPoint(mode, twice_j, scheme, best.xi2, math.nan, (twice_j / 2.0 + 1) * best.xi2, "ok", True)]
+    configs = [SimConfig(mode=mode, twice_j=tj, scheme=scheme, delta_v=delta_v, v_max=v_max) for tj in group]
+    if len(configs) == 1:
+        spec, rho0 = configs[0].spec(), configs[0].initial_state()
+    else:
+        spec = replace(configs[0].spec(), frame=single_mode_frame(group))
+        rho0 = stack_members([config.initial_state() for config in configs])
+    zeta_floor = ZETA_RESOLUTION_STEPS * delta_v
+    step, options = dynamics.deterministic_step(spec)
+    records = dynamics.integrate(
+        rho0, spec, configs[0].controller(), step, dynamics.compute_metrics, SWEEP_COLUMNS,
+        [{"conditioned": False, "twice_j": tj} for tj in group], zeta_floor=zeta_floor, **options,
+    )
     points = []
-    for twice_j in twice_j_values:
-        twice_j = int(twice_j)
-        j = twice_j / 2.0
-        if scheme == "optimal-states":
-            curve = optimal_curve(mode, twice_j)
-            best = min_xi2_on_curve(curve)
-            points.append(
-                SweepPoint(mode, twice_j, scheme, best.xi2, math.nan, (j + 1) * best.xi2, "ok", True)
-            )
-            continue
-        config = SimConfig(mode=mode, twice_j=twice_j, scheme=scheme, delta_v=delta_v, v_max=v_max)
-        zeta_floor = ZETA_RESOLUTION_STEPS * delta_v
-        record = dynamics.evolve(
-            config.initial_state(), config.spec(), config.controller(), zeta_floor=zeta_floor
-        )
+    for twice_j, record in zip(group, records):
         xi2_min, v_min, interior = _xi2_minimum(
-            record.column("v"),
-            record.column("xi2"),
-            zeta=record.column("zeta"),
-            zeta_floor=zeta_floor,
+            record.column("v"), record.column("xi2"), zeta=record.column("zeta"), zeta_floor=zeta_floor
         )
-        points.append(
-            SweepPoint(mode, twice_j, scheme, xi2_min, v_min, (j + 1) * xi2_min, record.status, interior)
-        )
+        scaled = (twice_j / 2.0 + 1) * xi2_min
+        points.append(SweepPoint(mode, twice_j, scheme, xi2_min, v_min, scaled, record.status, interior))
     return points
-

@@ -33,7 +33,7 @@ per worker. On the static single-mode frame Z, K and Y^2 are real, so
 a real rho0 is stepped as a float64 stack; a two-mode frame measures
 J_y^-, an imaginary back-action, so its trajectories stay complex.
 fan_out is the package's one process fan-out; ensembles,
-bundled curve sets and CLI sweeps all go through it.
+bundled curve sets and sweeps all go through it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import MeasurementFrame, moments_of
+from .algebra import MeasurementFrame, dagger, moments_of
 from .dynamics import EvolutionSpec, integrate
 from .feedback import FeedbackScheme
 from .metrics import METRIC_COLUMNS, compute_metrics
@@ -82,10 +82,6 @@ class WienerStream:
         return math.sqrt(delta_v) * self._gen.standard_normal(count)
 
 
-def _dagger(a):
-    return a.conj().swapaxes(-1, -2)
-
-
 def _per_state(x):
     """A scalar per state, shaped to scale each matrix of a stack."""
     return np.asarray(x)[..., None, None]
@@ -107,15 +103,20 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float
     zr = z @ rho
     sandwich = zr @ z
     half = z2 @ rho
-    mid = rho + delta_v * (sandwich - 0.5 * (half + _dagger(half)))
-    mid += _per_state(dw) * (zr + _dagger(zr) - _per_state(2.0 * mz) * rho)
+    mid = rho + delta_v * (sandwich - 0.5 * (half + dagger(half)))
+    mid += _per_state(dw) * (zr + dagger(zr) - _per_state(2.0 * mz) * rho)
 
     fed = lam != 0.0
     if np.any(fed):
+        # U and U^dag = 1 - kick K - kick^2 Y^2 / 2, built as they are (K is
+        # anti-Hermitian, Y^2 Hermitian), so no product reads a transposed
+        # operand
         kick = _per_state(lam * dy)
-        u = kick * at.k - 0.5 * kick * kick * at.y2
-        u.reshape(u.shape[:-2] + (-1,))[..., :: u.shape[-1] + 1] += 1.0
-        kicked = u @ mid @ _dagger(u)
+        turn, bend = kick * at.k, 0.5 * kick * kick * at.y2
+        u, ud = turn - bend, np.negative(turn) - bend
+        for x in (u, ud):
+            x.reshape(x.shape[:-2] + (-1,))[..., :: x.shape[-1] + 1] += 1.0
+        kicked = u @ mid @ ud
         mid = kicked if np.all(fed) else np.where(_per_state(fed), kicked, mid)
 
     trace = np.trace(mid, axis1=-2, axis2=-1).real
@@ -124,7 +125,7 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float
         mid /= _per_state(trace)
     elif np.ndim(inside):
         mid[inside] /= _per_state(trace[inside])
-    out = 0.5 * (mid + _dagger(mid))
+    out = 0.5 * (mid + dagger(mid))
     return out, dy, trace
 
 
@@ -153,7 +154,7 @@ def trajectory_batch(
     noise = np.empty((len(streams), NOISE_BLOCK))
     steps = 0
 
-    def step(rho, v, lam, live, read):
+    def step(rho, frame, v, lam, live, read):
         nonlocal steps
         col = steps % NOISE_BLOCK
         if col == 0:

@@ -14,6 +14,7 @@ from spinlab.algebra import (
     expect_real,
     single_mode_frame,
     spin_matrices,
+    stack_members,
     two_mode_coherent_state,
     two_mode_frame,
 )
@@ -320,3 +321,55 @@ def test_moment_read_keeps_the_bits_of_each_expectation(omega, times, dtype, bat
     first, second = read(z.copy()), read(y2.copy())
     assert np.array_equal(_bits(first), _bits(expect_real(z, rho)))
     assert np.array_equal(_bits(second), _bits(expect_real(y2, rho)))
+
+
+@pytest.mark.parametrize("batch", (1, 3))
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_per_member_operators_read_one_value_per_member(batch, dtype):
+    # a (B, n, n) operator is one operator per member: the read is one
+    # value per member, each the bits np.vdot gives for that member alone
+    rho = _states(5, dtype, batch)
+    ops = _states(5, float, batch) * 3.0 - 0.5
+    want = [np.vdot(rho[k], ops[k]).real for k in range(batch)]
+    got = expect_real(ops, rho)
+    assert got.shape == (batch,)
+    assert np.array_equal(_bits(got), _bits(want))
+    read = Moments(rho)
+    assert np.array_equal(_bits(read(ops)), _bits(want))
+    assert read(ops) is read(ops)
+
+
+def test_member_stacked_frame_pads_each_spin():
+    spins = (2, 5, 4)
+    fr = single_mode_frame(spins)
+    assert fr.dim == 6 and fr.x_op.shape == (3, 6, 6)
+    assert np.array_equal(fr.spin_j, [1.0, 2.5, 2.0])
+    for k, twice_j in enumerate(spins):
+        alone, n = single_mode_frame(twice_j), twice_j + 1
+        at, one = fr.at(0.0), alone.at(0.0)
+        for name in ("z", "k", "z2", "y2", "zxz", "s"):
+            got = getattr(at, name)[k]
+            assert not got[n:].any() and not got[:, n:].any(), name
+            assert np.abs(got[:n, :n] - getattr(one, name)).max() <= 1e-13, name
+        assert np.array_equal(fr.zeta_op[k, :n, :n], alone.zeta_op)
+
+
+def test_members_narrows_a_stacked_frame_and_keeps_a_shared_one():
+    fr = single_mode_frame((2, 3, 4))
+    z2 = fr.at(0.0).z2  # built before narrowing: carried over, not rebuilt
+    kept = fr.members(np.array([True, False, True]))
+    assert np.array_equal(kept.spin_j, [1.0, 2.0]) and kept.dim == fr.dim
+    assert np.array_equal(kept.at(0.0).z2, z2[[0, 2]])
+    assert np.array_equal(kept.x_op, fr.x_op[[0, 2]])
+    assert np.array_equal(kept.members(np.array([1])).zeta_op, fr.zeta_op[[2]])
+    shared = single_mode_frame(4)
+    assert shared.members(np.array([True])) is shared
+    node = two_mode_frame(2, 1.0)
+    assert node.members(np.array([0])) is node
+
+
+def test_stack_members_zero_pads_into_the_corner():
+    stack = stack_members([np.ones((2, 2)), 2j * np.ones((3, 3))])
+    assert stack.shape == (2, 3, 3) and stack.dtype == complex
+    assert stack[0].sum() == 4 and not stack[0, 2].any() and not stack[0, :, 2].any()
+    assert np.array_equal(stack[1], 2j * np.ones((3, 3)))

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from spinlab.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, main
-from spinlab.harness import FIGURE_BUNDLES, read_csv
+from spinlab.harness import FIGURE_BUNDLES, read_csv, write_sweep_csv
+from spinlab.metrics import min_squeezing_sweep
 
 
 def test_run_happy_path_writes_csv(tmp_path, capsys):
@@ -142,6 +143,16 @@ def test_sweep_command(tmp_path, capsys):
     assert "2j=1" in stdout and "2j=2" in stdout
     _, cols = read_csv(out)
     assert cols["mode"] == ["two", "two"]
+
+
+def test_single_mode_sweep_is_one_stack_at_any_jobs(tmp_path):
+    # the sweep is one stack whatever the worker cap, so its bytes do not
+    # depend on it, and they are the library sweep's
+    args = ["sweep", "--mode", "single", "--scheme", "simple", "--twice-j", "2,4", "--v-max", "0.05"]
+    for jobs in (1, 2):
+        assert main(args + ["--jobs", str(jobs), "--out", str(tmp_path / f"jobs{jobs}.csv")]) == EXIT_OK
+    want = write_sweep_csv(min_squeezing_sweep("single", (2, 4), "simple", v_max=0.05), tmp_path / "lib.csv")
+    assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes() == want.read_bytes()
 
 
 def test_sweep_rejects_bad_spin_list(capsys):

@@ -10,20 +10,23 @@ import pytest
 from conftest import css_rho, random_density
 
 from spinlab import algebra, dynamics, feedback, metrics, stochastic
-from spinlab.algebra import single_mode_frame, spin_matrices, two_mode_frame
+from spinlab.algebra import single_mode_frame, spin_matrices, stack_members, two_mode_frame
 from spinlab.dynamics import (
     EvolutionSpec,
     averaged_rate,
     countertwist_hamiltonian,
     countertwist_propagator,
     countertwisting_step,
+    deterministic_step,
     dissipator,
     evolve,
     feedback_rate,
+    integrate,
     unconditioned_step,
 )
 from spinlab.feedback import FeedbackScheme
 from spinlab.harness import SimConfig, run_scenario
+from spinlab.metrics import PLAIN_COLUMNS, compute_metrics
 
 
 def test_dissipator_matches_definition():
@@ -666,3 +669,51 @@ def test_each_step_computes_each_expectation_once(kw, per_row, per_step, monkeyp
         calls.clear()
         assert run_scenario(SimConfig(v_max=0.02, stride=stride, **kw)).n_rows == rows
         assert len(calls) == rows * per_row + (21 - rows) * per_step, stride
+
+
+# ------------------------------------------------------------ member stacks
+
+
+@pytest.mark.parametrize("mode", ("single", "two"))
+def test_rate_of_a_stack_is_each_states_rate(mode):
+    # on a shared frame each member's rate is, bit for bit, its state's
+    # rate with its own gain
+    fr = single_mode_frame(6) if mode == "single" else two_mode_frame(2, omega=7.3)
+    states = [_real_density(fr.dim, seed=s) if mode == "single" else random_density(fr.dim, seed=s) for s in range(3)]
+    lam = np.array([0.7, 0.0, -1.3])
+    rates = feedback_rate(fr, np.stack(states), 0.4, lam)
+    for k, rho in enumerate(states):
+        one = feedback_rate(fr, rho, 0.4, float(lam[k]))
+        assert np.array_equal(rates[k].view(np.uint64), one.view(np.uint64))
+
+
+def test_rate_on_a_member_stacked_frame_keeps_each_spin_in_its_corner():
+    spins = (2, 6, 4)
+    fr = single_mode_frame(spins)
+    states = [_real_density(tj + 1, seed=tj) for tj in spins]
+    lam = np.array([0.7, -1.3, 0.2])
+    rates = feedback_rate(fr, stack_members(states), 0.4, lam)
+    for k, (tj, rho) in enumerate(zip(spins, states)):
+        n, one = tj + 1, feedback_rate(single_mode_frame(tj), rho, 0.4, float(lam[k]))
+        assert not rates[k, n:].any() and not rates[k, :, n:].any()
+        assert np.abs(rates[k, :n, :n] - one).max() <= 1e-14 * np.abs(one).max()
+    props = countertwist_propagator(countertwist_hamiltonian(fr, "countertwist-single"), 1e-3)
+    for k, tj in enumerate(spins):
+        n = tj + 1
+        alone = countertwist_propagator(countertwist_hamiltonian(single_mode_frame(tj), "countertwist-single"), 1e-3)
+        assert not props[k, n:, :n].any() and not props[k, :n, n:].any()
+        assert np.abs(props[k, :n, :n] - alone).max() <= 1e-14
+
+
+def test_integrate_records_only_the_named_columns():
+    spec = EvolutionSpec(frame=single_mode_frame(4), delta_v=1e-3, v_max=0.05, record_stride=5)
+    step, options = deterministic_step(spec)
+    runs = {
+        columns: integrate(css_rho("single", 4), spec, FeedbackScheme("simple"), step, compute_metrics,
+                           columns, [{}], **options)[0]
+        for columns in (PLAIN_COLUMNS, ("xi2", "v", "zeta"))
+    }
+    full, some = runs.values()
+    assert list(some.columns) == ["xi2", "v", "zeta"] and some.n_rows == full.n_rows == 11
+    for name in some.columns:
+        assert np.array_equal(some.column(name).view(np.uint64), full.column(name).view(np.uint64))

@@ -1,15 +1,18 @@
 """Figures of merit: squeezing ratio, conditional variants, scheme sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spinlab.algebra import single_mode_frame, spin_matrices, two_mode_frame
-from spinlab.dynamics import EvolutionSpec, evolve
+from spinlab.algebra import single_mode_frame, spin_matrices, stack_members, two_mode_frame
+from spinlab.dynamics import EvolutionSpec, deterministic_step, evolve, integrate
 from spinlab.feedback import FeedbackScheme
+from spinlab.harness import SimConfig
 from spinlab.metrics import (
     CHI_FLOOR,
+    PLAIN_COLUMNS,
     ZETA_RESOLUTION_STEPS,
     SweepPoint,
     _xi2_minimum,
@@ -180,6 +183,47 @@ def test_sweep_interior_flag_unconverged():
     point = min_squeezing_sweep("single", [2], "countertwist", v_max=0.1)[0]
     assert not point.interior
     assert point.v_at_min == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("scheme, v_max", (("simple", 20.0), ("optimal", 20.0), ("countertwist", 1.0)))
+def test_stacked_sweep_matches_each_spin_swept_alone(scheme, v_max):
+    # a single-mode sweep steps its spins as one zero-padded stack; each
+    # point agrees with the spin swept alone to rounding
+    stacked = min_squeezing_sweep("single", (2, 4, 10), scheme, v_max=v_max)
+    for point in stacked:
+        (alone,) = min_squeezing_sweep("single", (point.twice_j,), scheme, v_max=v_max)
+        assert (point.status, point.interior, point.twice_j) == (alone.status, alone.interior, alone.twice_j)
+        for name in ("xi2_min", "scaled"):
+            got, want = getattr(point, name), getattr(alone, name)
+            assert abs(got - want) <= 1e-12 * abs(want), (point.twice_j, name)
+
+
+def test_two_mode_sweep_fans_out_one_spin_per_group():
+    points = min_squeezing_sweep("two", (1, 2), "simple", v_max=0.05)
+    assert min_squeezing_sweep("two", (1, 2), "simple", v_max=0.05, jobs=2) == points
+    assert [p.twice_j for p in points] == [1, 2]
+
+
+def _stacked_run(group, v_max):
+    """The records of the single-mode simple-law spins group, run as one
+    stack on their member-stacked frame with the sweep's zeta floor."""
+    configs = [SimConfig(mode="single", twice_j=tj, v_max=v_max) for tj in group]
+    spec = replace(configs[0].spec(), frame=single_mode_frame(group))
+    step, options = deterministic_step(spec)
+    return integrate(
+        stack_members([c.initial_state() for c in configs]), spec, configs[0].controller(), step,
+        compute_metrics, PLAIN_COLUMNS, [{}] * len(group), zeta_floor=ZETA_RESOLUTION_STEPS * 1e-3, **options,
+    )
+
+
+def test_stacked_members_do_not_interact():
+    # (2, 10) and (4, 10) pad spin 10 alike; 2j = 2 leaves its stack at the
+    # zeta floor after 4582 steps, so the frame is narrowed with the stack
+    # while 2j = 4 stays, and spin 10's rows must not notice either way
+    (short, ten), (four, other_ten) = _stacked_run((2, 10), 6.0), _stacked_run((4, 10), 6.0)
+    assert short.ok and short.n_rows == 4583 and four.n_rows == ten.n_rows == 6001
+    for name in PLAIN_COLUMNS:
+        assert np.array_equal(ten.column(name).view(np.uint64), other_ten.column(name).view(np.uint64)), name
 
 
 @pytest.mark.parametrize("conditioned", (False, True))

@@ -149,6 +149,44 @@ def test_two_mode_kick_through_k_keeps_the_y_form_bits(omega, v):
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
+def _step_with_transposed_adjoint(rho, frame, v, lam, delta_v, dw):
+    """conditioned_step with its kick as u @ mid @ u^dag, u^dag read off u as
+    a transposed view: the form the step had before it built U^dag."""
+    at = frame.at(v)
+    z, z2 = at.z, at.z2
+    mz = expect_real(z, rho)
+    dy = 2.0 * mz * delta_v + dw
+    zr = z @ rho
+    half = z2 @ rho
+    mid = rho + delta_v * (zr @ z - 0.5 * (half + half.conj().swapaxes(-1, -2)))
+    mid += dw[:, None, None] * (zr + zr.conj().swapaxes(-1, -2) - (2.0 * mz)[:, None, None] * rho)
+    kick = (lam * dy)[:, None, None]
+    u = kick * at.k - 0.5 * kick * kick * at.y2
+    u.reshape(u.shape[:-2] + (-1,))[..., :: u.shape[-1] + 1] += 1.0
+    mid = np.where((lam != 0.0)[:, None, None], u @ mid @ u.conj().swapaxes(-1, -2), mid)
+    mid /= np.trace(mid, axis1=-2, axis2=-1).real[:, None, None]
+    return 0.5 * (mid + mid.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize(
+    "frame, v",
+    ((single_mode_frame(4), 0.0), (two_mode_frame(2, omega=math.pi / 2e-3), 0.003), (two_mode_frame(2, omega=7.3), 0.123)),
+    ids=("static-real", "node", "off-node"),
+)
+def test_built_adjoint_keeps_the_transposed_kick_bits(frame, v):
+    # U^dag = 1 - kick K - kick^2 Y^2 / 2 is the array u.conj().T, so the
+    # contiguous operand moves no conditioned byte
+    real = frame.mode == "single"
+    stack = np.stack([random_density(frame.dim, seed=s) for s in range(4)])
+    stack = stack.real.copy() if real else stack
+    lam = np.array([0.7, 0.0, -1.3, 4.0])
+    dw = np.random.default_rng(8).normal(scale=0.03, size=4)
+    out, _, _ = conditioned_step(stack, frame, v, lam, 1e-3, dw)
+    want = _step_with_transposed_adjoint(stack, frame, v, lam, 1e-3, dw)
+    assert out.dtype == want.dtype == (float if real else complex)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
 # ----------------------------------------------------------- trajectories
 
 
