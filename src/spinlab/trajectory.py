@@ -41,6 +41,21 @@ class TrajectoryRecord:
         return self.columns[name]
 
 
+class RecordStack(list):
+    """The records of runs integrated as one stack, in stack order. Its
+    min_eig_floor and max_trace_drift are the stack's worst, so the
+    positivity and trace diagnostics read the same off one run or a
+    stack."""
+
+    @property
+    def min_eig_floor(self) -> float:
+        return min(r.min_eig_floor for r in self)
+
+    @property
+    def max_trace_drift(self) -> float:
+        return max(r.max_trace_drift for r in self)
+
+
 @dataclass
 class EnsembleRecord:
     """Pointwise trajectory average with standard errors."""

@@ -17,16 +17,15 @@ from spinlab.dynamics import (
     countertwist_hamiltonian,
     countertwist_propagator,
     countertwisting_step,
-    deterministic_step,
     dissipator,
     evolve,
     feedback_rate,
-    integrate,
     unconditioned_step,
 )
 from spinlab.feedback import FeedbackScheme
 from spinlab.harness import SimConfig, run_scenario
-from spinlab.metrics import PLAIN_COLUMNS, compute_metrics
+from spinlab.metrics import PLAIN_COLUMNS
+from spinlab.trajectory import RecordStack
 
 
 def test_dissipator_matches_definition():
@@ -707,13 +706,32 @@ def test_rate_on_a_member_stacked_frame_keeps_each_spin_in_its_corner():
 
 def test_integrate_records_only_the_named_columns():
     spec = EvolutionSpec(frame=single_mode_frame(4), delta_v=1e-3, v_max=0.05, record_stride=5)
-    step, options = deterministic_step(spec)
     runs = {
-        columns: integrate(css_rho("single", 4), spec, FeedbackScheme("simple"), step, compute_metrics,
-                           columns, [{}], **options)[0]
+        columns: evolve(css_rho("single", 4), spec, FeedbackScheme("simple"), columns=columns)
         for columns in (PLAIN_COLUMNS, ("xi2", "v", "zeta"))
     }
     full, some = runs.values()
     assert list(some.columns) == ["xi2", "v", "zeta"] and some.n_rows == full.n_rows == 11
     for name in some.columns:
         assert np.array_equal(some.column(name).view(np.uint64), full.column(name).view(np.uint64))
+
+
+def test_evolve_of_a_stack_on_a_shared_frame_is_each_state_alone():
+    spec = EvolutionSpec(frame=single_mode_frame(4), delta_v=1e-3, v_max=0.2)
+    states = [css_rho("single", 4), _real_density(5, seed=3)]
+    runs = evolve(np.stack(states), spec, FeedbackScheme("simple"))
+    assert isinstance(runs, RecordStack) and len(runs) == 2
+    for rho, run in zip(states, runs):
+        alone = evolve(rho, spec, FeedbackScheme("simple"))
+        assert (run.status, run.n_rows) == (alone.status, alone.n_rows)
+        for name in PLAIN_COLUMNS:
+            assert np.array_equal(run.column(name).view(np.uint64), alone.column(name).view(np.uint64)), name
+    # a stack's diagnostics are its worst member's
+    assert runs.min_eig_floor == min(run.min_eig_floor for run in runs)
+    assert runs.max_trace_drift == max(run.max_trace_drift for run in runs)
+
+
+def test_the_period_averaged_step_takes_one_state():
+    config = SimConfig(mode="two", twice_j=2, v_max=0.01)
+    with pytest.raises(ValueError, match="one state"):
+        evolve(np.stack([config.initial_state()] * 2), config.spec(), config.controller())

@@ -6,13 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spinlab import dynamics
 from spinlab.algebra import single_mode_frame, spin_matrices, stack_members, two_mode_frame
-from spinlab.dynamics import EvolutionSpec, deterministic_step, evolve, integrate
+from spinlab.dynamics import EvolutionSpec, evolve
 from spinlab.feedback import FeedbackScheme
 from spinlab.harness import SimConfig
 from spinlab.metrics import (
     CHI_FLOOR,
     PLAIN_COLUMNS,
+    STACK_MAX_DIM,
     ZETA_RESOLUTION_STEPS,
     SweepPoint,
     _xi2_minimum,
@@ -198,6 +200,20 @@ def test_stacked_sweep_matches_each_spin_swept_alone(scheme, v_max):
             assert abs(got - want) <= 1e-12 * abs(want), (point.twice_j, name)
 
 
+def test_sweep_stacks_only_the_spins_up_to_stack_max_dim(monkeypatch):
+    # a padded member's products cost the largest spin's dimension, so a
+    # spin above STACK_MAX_DIM runs alone, and the points keep the order
+    # the spins were given in
+    shapes, run = [], dynamics.evolve
+    monkeypatch.setattr(dynamics, "evolve", lambda rho0, *a, **k: shapes.append(rho0.shape) or run(rho0, *a, **k))
+    spins = (STACK_MAX_DIM, 2, STACK_MAX_DIM - 1, 4)
+    points = min_squeezing_sweep("single", spins, "simple", v_max=0.05)
+    assert [p.twice_j for p in points] == list(spins)
+    assert shapes == [(3, STACK_MAX_DIM, STACK_MAX_DIM), (STACK_MAX_DIM + 1, STACK_MAX_DIM + 1)]
+    # the spin run alone is, bit for bit, its own sweep
+    assert points[0] == min_squeezing_sweep("single", (STACK_MAX_DIM,), "simple", v_max=0.05)[0]
+
+
 def test_two_mode_sweep_fans_out_one_spin_per_group():
     points = min_squeezing_sweep("two", (1, 2), "simple", v_max=0.05)
     assert min_squeezing_sweep("two", (1, 2), "simple", v_max=0.05, jobs=2) == points
@@ -209,11 +225,8 @@ def _stacked_run(group, v_max):
     stack on their member-stacked frame with the sweep's zeta floor."""
     configs = [SimConfig(mode="single", twice_j=tj, v_max=v_max) for tj in group]
     spec = replace(configs[0].spec(), frame=single_mode_frame(group))
-    step, options = deterministic_step(spec)
-    return integrate(
-        stack_members([c.initial_state() for c in configs]), spec, configs[0].controller(), step,
-        compute_metrics, PLAIN_COLUMNS, [{}] * len(group), zeta_floor=ZETA_RESOLUTION_STEPS * 1e-3, **options,
-    )
+    rho0 = stack_members([c.initial_state() for c in configs])
+    return evolve(rho0, spec, configs[0].controller(), zeta_floor=ZETA_RESOLUTION_STEPS * 1e-3)
 
 
 def test_stacked_members_do_not_interact():
