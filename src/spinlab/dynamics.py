@@ -59,6 +59,18 @@ the d x d factor of J_y (d = 2j + 1): one shared pair of per-sample
 products gives J_y^+ rho and J_y^- rho, and one more pair the regrouped
 second-order terms, so the rate makes four products with that factor,
 each costing dim^2 d instead of dim^3.
+
+Parity: the joint x-parity, in the |m1, m2> basis the index reversal
+a -> n - 1 - a with no sign, keeps J_x and negates K and the diagonal
+J_z^+ and J_z^-. Both node generators commute with it, so the averaged
+run keeps a parity-even state even. The averaged rate and its
+Adams-Bashforth step therefore compute only the top ceil(n/2) rows and
+fill the rest by the mirror (see averaged_rate for which operators are
+odd and how an odd n's middle row is kept). The reduction is exact for
+an even start only, so evolve refuses any other on the averaged path;
+every start in this package, the +x coherent product state, is even to
+rounding. The first step starts from the start's exact parity
+projection, and every later state is even and Hermitian to the last bit.
 """
 
 from __future__ import annotations
@@ -84,6 +96,9 @@ TRACE_TOL = 1e-6
 EIG_FLOOR = -1e-3
 # how far omega delta_v may sit from pi/2 and still count as a quarter period
 _QUARTER_TOL = 1e-9
+# how far a start of the period-averaged step may sit from parity-even; the
+# +x coherent product state sits 1.5e-16 away, a state tilted off x O(1)
+_PARITY_TOL = 1e-12
 
 
 def dissipator(r, rho):
@@ -167,29 +182,55 @@ def feedback_rate(frame: MeasurementFrame, rho, v: float, lam):
     return w
 
 
-def _per_sample_products(k, x, y, p, q):
+def _per_sample_products(k, x, y, p, q, blocks=None):
     """Write P = (K (x) 1) x into p, then Q = (1 (x) K) y into q (q may be
     x), for a per-sample real factor K (d x d) and C-contiguous n x n
-    arrays of one dtype, n = d^2. The |m1, m2> index splits as (m1, m2),
-    so K (x) 1 acts on x as a (d, d n) array and 1 (x) K on each of y's d
-    row blocks, both on the float view: real K acts on the real and any
-    imaginary parts alike. Costs O(n^2 d) and builds no n x n operator."""
+    arrays of one dtype, n = d^2; with blocks given, only the top blocks of
+    the d row blocks of each, from all of x and the top of y. The |m1, m2>
+    index splits as (m1, m2), so K (x) 1 acts on x as a (d, d n) array and
+    1 (x) K on each of y's d row blocks, both on the float view: real K
+    acts on the real and any imaginary parts alike. Costs O(n^2 d) and
+    builds no n x n operator."""
     d = k.shape[0]
-    np.matmul(k, x.view(float).reshape(d, -1), out=p.view(float).reshape(d, -1))
-    np.matmul(k, y.view(float).reshape(d, d, -1), out=q.view(float).reshape(d, d, -1))
+    blocks = d if blocks is None else blocks
+    rows = blocks * d
+    np.matmul(k[:blocks], x.view(float).reshape(d, -1), out=p[:rows].view(float).reshape(blocks, -1))
+    np.matmul(k, y[:rows].view(float).reshape(blocks, d, -1), out=q[:rows].view(float).reshape(blocks, d, -1))
 
 
-def _plus_dagger(x, out):
-    """x + x^dag into out, Hermitian to the last bit, through the real and
-    imaginary views: a complex x.T.conj() would be a copy."""
+def _plus_dagger(x, out, rows):
+    """The top rows of x + x^dag into out's, through the real and imaginary
+    views (a complex x.T.conj() would be a copy); returns them."""
     if x.dtype.kind == "c":
-        np.subtract(x.imag, x.imag.T, out=out.imag)
-    np.add(x.real, x.real.T, out=out.real)
-    return out
+        np.subtract(x.imag[:rows], x.imag[:, :rows].T, out=out.imag[:rows])
+    np.add(x.real[:rows], x.real[:, :rows].T, out=out.real[:rows])
+    return out[:rows]
+
+
+def _mirror(x):
+    """x under the joint x-parity, the index reversal a -> n - 1 - a of the
+    |m1, m2> basis on both axes of an n x n array, or on its flattening,
+    where it is the one reversal of the flat index; a view."""
+    return x[::-1, ::-1] if x.ndim == 2 else x[::-1]
+
+
+def _fill_by_parity(x, sign=1.0, stop=None):
+    """Make the C-contiguous n x n array x sign-even under the parity from
+    its top ceil(n/2) rows: every entry past the middle of the flat index,
+    up to row stop (the last by default), becomes sign times its mirror
+    entry before the middle. That covers the rows below the middle row and
+    the right half of an odd n's middle row, whose middle entry is left as
+    it is; one reversed copy of the flat array. Returns x."""
+    flat = x.reshape(-1)
+    size, half = flat.size, flat.size // 2
+    end = size if stop is None else stop * x.shape[1]
+    np.multiply(_mirror(flat[size - end : half]), sign, out=flat[size - half : end])
+    return x
 
 
 def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None = None):
-    """Right-hand side of the period-averaged master equation, (L0 + L1)/2.
+    """Right-hand side of the period-averaged master equation, (L0 + L1)/2,
+    for a state rho that is even under the joint x-parity.
 
     L0 and L1 are the generators at the first two quarter-period nodes,
     (Z, Y) = (J_z^+, J_y^+) and (J_y^-, -J_z^-). Write J_y^+ = iB and
@@ -208,54 +249,74 @@ def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None
     A [A, rho]/4 + B Y = (K/4 (x) 1) U + (1 (x) K/4) V with
     U = 4Y + [A, rho], V = 4Y - [A, rho]: four products with the d x d
     factor K and no n x n operator. e_i - e_j is real antisymmetric, so the
-    Hermitian E term enters G as (L/2) (e_i - e_j) o a. G + G^dag is
-    Hermitian to the last bit.
+    Hermitian E term enters G as (L/2) (e_i - e_j) o a.
 
-    scratch is a dict the first call fills with K/4 and eight n x n arrays,
-    four in rho's dtype and four real ones holding the run constants
-    d_i + d_j, e_i - e_j and the two dephasing rates, so it belongs to one
-    frame. A run passes one dict to every step, so a step allocates only
-    the returned rate, not a dozen n x n temporaries whose pages fault in
-    again every step.
+    Parity: in the |m1, m2> basis the joint x-parity is the index reversal
+    a -> n - 1 - a with no sign. It keeps J_x and negates K and both J_z
+    diagonals, so A, B, D and E are odd, and for an even rho so are a, b,
+    [A, rho], [B, rho], Y, U and V, while G and the rate are even. So the
+    rate computes P, Q, a and b whole, every later elementwise pass on the
+    top h = ceil(n/2) rows only, fills the rest of U and V as the negated
+    mirror of their top, makes the second pair of products on the top
+    ceil(d/2) row blocks, and fills G from its top by the mirror, the
+    right half of an odd n's middle row included, from its left half. The
+    rate, the top rows of G + G^dag filled the same way, is then Hermitian
+    and parity-even to the last bit, whatever the rounding of rho's
+    parity. It matches the rate computed on every row to rounding.
+
+    scratch is a dict the first call fills with K/4, four n x n arrays in
+    rho's dtype and four real h x n arrays holding the top rows of the run
+    constants d_i + d_j, e_i - e_j and the two dephasing rates, so it
+    belongs to one frame. A run passes one dict to every step, so a step
+    allocates only the returned rate, not a dozen n x n temporaries whose
+    pages fault in again every step.
     """
     if frame.mode != "two":
         raise ValueError("the period-averaged generator needs a two-mode frame")
     rho = np.ascontiguousarray(rho)
     scratch = {} if scratch is None else scratch
     k = frame.jy_factor
+    n, d = rho.shape[0], k.shape[0]
+    h, blocks = (n + 1) // 2, (d + 1) // 2
     if not scratch:
-        d, e = frame.jzp_diag, -frame.jzm_diag
+        dp, e = frame.jzp_diag, -frame.jzm_diag
         scratch["work"] = np.empty((4,) + rho.shape, dtype=rho.dtype)
-        scratch["real"] = np.empty((4,) + rho.shape)
+        scratch["real"] = np.empty((4, h, n))
         ds, de, fd, fe = scratch["real"]
-        np.add(d[:, None], d, out=ds)
-        np.subtract(e[:, None], e, out=de)
-        np.multiply(np.square(np.subtract(d[:, None], d, out=fd), out=fd), -0.125, out=fd)
+        np.add(dp[:h, None], dp, out=ds)
+        np.subtract(e[:h, None], e, out=de)
+        np.multiply(np.square(np.subtract(dp[:h, None], dp, out=fd), out=fd), -0.125, out=fd)
         np.multiply(np.square(de, out=fe), -0.125, out=fe)
         scratch["quarter_k"] = 0.25 * k
     (p, q, a, g), (ds, de, fd, fe) = scratch["work"], scratch["real"]
+    top = rho[:h]
     _per_sample_products(k, rho, rho, p, q)
     np.subtract(p, q, out=a)
     if lam != 0.0:
         q += p  # b
-        comm = _plus_dagger(a, p)
-        y = _plus_dagger(q, g)  # 4Y, built in place
+        comm = _plus_dagger(a, p, h)
+        y = _plus_dagger(q, g, h)  # 4Y, built in place
         y *= lam * lam
-        y += np.multiply(np.multiply(ds, rho, out=q), 2.0 * lam, out=q)
-        np.subtract(y, comm, out=q)  # V
+        y += np.multiply(np.multiply(ds, top, out=q[:h]), 2.0 * lam, out=q[:h])
+        np.subtract(y, comm, out=q[:h])  # V
         comm += y  # U
     else:
-        np.negative(_plus_dagger(a, p), out=q)
-        np.multiply(fd, rho, out=a)  # - F o rho
-    _per_sample_products(scratch["quarter_k"], p, q, g, p)
-    g += p
+        np.negative(_plus_dagger(a, p, h), out=q[:h])
+        np.multiply(fd, top, out=a[:h])  # - F o rho
+    # U and V are odd; the products below read all of U and V's top row blocks
+    _fill_by_parity(p, -1.0)
+    _fill_by_parity(q, -1.0, stop=blocks * d)
+    _per_sample_products(scratch["quarter_k"], p, q, g, p, blocks)
+    g[:h] += p[:h]
     if lam != 0.0:
-        tr = q.view(float)[:, : q.shape[1]]  # a real n x n array in q's memory
-        a *= np.multiply(de, 0.5 * lam, out=tr)
+        tr = q.view(float)[:h, :n]  # a real h x n array in q's memory
+        a[:h] *= np.multiply(de, 0.5 * lam, out=tr)
         np.add(np.multiply(fe, lam * lam, out=tr), fd, out=tr)
-        a += np.multiply(tr, rho, out=p)  # - F o rho
-    g += a
-    return _plus_dagger(g, np.empty_like(g))
+        a[:h] += np.multiply(tr, top, out=p[:h])  # - F o rho
+    g[:h] += a[:h]
+    rate = np.empty_like(g)
+    _plus_dagger(_fill_by_parity(g), rate, h)
+    return _fill_by_parity(rate)
 
 
 def unconditioned_step(
@@ -520,7 +581,9 @@ def evolve(
     (B, n, n) stack, one state per member of a member-stacked frame or B
     states on a shared one, and evolve returns a RecordStack of their
     records in stack order. The period-averaged two-mode step keeps
-    per-run state (its scratch and last rate), so it takes one state. One
+    per-run state (its scratch and last rate), so it takes one state, and
+    steps half its rows, so a parity-even one (see the module docstring);
+    it raises ValueError for any other. One
     state is stepped as a 2-D matrix, whose products dispatch faster than
     a stack of one."""
     stacked = rho0.ndim == 3
@@ -541,20 +604,31 @@ def evolve(
     elif averaged:
         if stacked:
             raise ValueError("the period-averaged step integrates one state")
+        # row by row, so the check builds no n x n temporary
+        if any(np.abs(row - twin).max() > _PARITY_TOL for row, twin in zip(rho0, _mirror(rho0))):
+            raise ValueError("the period-averaged step needs a start even under the joint x-parity")
         last_rate = None  # the previous averaged rate, for Adams-Bashforth
         scratch = {}
+        h = (spec.frame.dim + 1) // 2
 
         def advance(rho, frame, v, lam, live):
             nonlocal last_rate
+            if last_rate is None:
+                # one Euler step starts the rule, from the start's exact
+                # parity projection, so every later state is exactly even
+                rho = rho + _mirror(rho)
+                rho *= 0.5
+                last_rate = averaged_rate(frame, rho, lam, scratch)
+                return unconditioned_step(rho, frame, v, lam, dv, rate=last_rate.copy())
             rate = averaged_rate(frame, rho, lam, scratch)
             combined, last_rate = last_rate, rate
-            if combined is None:  # one Euler step starts the rule
-                return unconditioned_step(rho, frame, v, lam, dv, rate=rate.copy())
-            # dv (1.5 rate - 0.5 last) = 1.5 dv (rate - last/3), built in the
-            # last rate, read here for the last time, which becomes the state
-            combined *= -1.0 / 3.0
-            combined += rate
-            return unconditioned_step(rho, frame, v, lam, 1.5 * dv, rate=combined)
+            # dv (1.5 rate - 0.5 last) = 1.5 dv (rate - last/3), built on the
+            # top rows of the last rate, read here for the last time, which
+            # becomes the state once its other rows are filled by the parity
+            combined[:h] *= -1.0 / 3.0
+            combined[:h] += rate[:h]
+            unconditioned_step(rho[:h], frame, v, lam, 1.5 * dv, rate=combined[:h])
+            return _fill_by_parity(combined)
 
     else:
 

@@ -131,6 +131,20 @@ def test_two_mode_per_sample_factors_are_exact(twice_j):
     assert not hasattr(single_mode_frame(twice_j), "jy_factor")
 
 
+@pytest.mark.parametrize("twice_j", (1, 2, 3, 4, 10))
+def test_joint_x_parity_is_the_index_reversal(twice_j):
+    # the period-averaged rate fills half its rows by this mirror: in the
+    # |m1, m2> basis the joint x-parity reverses the index, with no sign,
+    # keeping J_x and negating K (J_y = iK) and both J_z diagonals exactly
+    fr = two_mode_frame(twice_j, omega=1.0)
+    sample = spin_matrices(twice_j)
+    for op in (sample.jx.real, fr.x_op):
+        assert np.array_equal(op[::-1, ::-1], op)
+    assert np.array_equal(fr.jy_factor[::-1, ::-1], -fr.jy_factor)
+    assert np.array_equal(fr.jzp_diag[::-1], -fr.jzp_diag)
+    assert np.array_equal(fr.jzm_diag[::-1], -fr.jzm_diag)
+
+
 @pytest.mark.parametrize("twice_j", (1, 4))
 def test_real_operators_are_float64(twice_j):
     frames = ((single_mode_frame(twice_j), (0.0,)), (two_mode_frame(twice_j, omega=math.pi / 2e-3), (0.0, 1e-3)))

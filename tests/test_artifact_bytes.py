@@ -84,9 +84,9 @@ def artifact_hashes(out) -> dict:
 
 
 EXPECTED = {
-    "aborted-averaged.csv": "d811d45c4693c5ca10808b00474aa5597070a9b9f776b8b0911fc1152e365725",
+    "aborted-averaged.csv": "1587c7aedd61ec6ed765265bdd160c4459b3747c87d99e720e29c7d3c104f073",
     "aborted-conditioned.csv": "56761c88212b1fea372fe92bae1b77f1307633915852525a6f52e0ca40a03d39",
-    "averaged-two.csv": "277f4457a507b96fba38f688f952232209bc6f3152cbe64eebecec3d0b529886",
+    "averaged-two.csv": "8ce4c3c69899745521649704c19eea2f434a1345f946f9633d17f1a3620cacea",
     "conditioned.csv": "967cfcb3a6d4680848a0e59335775a53882fcf4928bc1538e76b2e45c280c122",
     "countertwist-single.csv": "93244e453f4cca04a0c0a8397b0c77385c0c6b71b3eb4ae41e234a8fe3f66246",
     "countertwist-two.csv": "fa96efc20c002516d2e1315a7a18d4947dee2c5e80b0b2fbb5d14fb2fa8a2fc3",
@@ -97,7 +97,7 @@ EXPECTED = {
     "euler-single.csv": "601f4a2abad4e1bd664dec88b0a2a8e55959067c534edc397a04075563d8d439",
     "euler-two-optimal.csv": "e3e7c964ad9d3a489e5c5336fd4470409769cbf9494bfec3f77c840467a417a6",
     "frontier.csv": "7123e942a059be067e4a4b9f804637d8782ad1c975f392e10ef00df64e2b26a1",
-    "sweep.csv": "00244df24018b9d9cdd928f5185068bf1824388a402981ad22ba76466109655f",
+    "sweep.csv": "56c9e0fc0126d752557a8106e66816893b7ef4686e712b4bfe33569c25d2ad2b",
 }
 
 

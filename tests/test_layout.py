@@ -2,9 +2,10 @@
 others only through their public names, the frame's operators are read
 only through its public methods and at a time only through frame.at(v),
 one module owns process fan-out, one function loops over the steps, one
-function decides whether a stack is stepped as float64, and every name
-the benchmark tracer wraps exists. Also that a run on frame
-nodes builds none of the frame's cross terms."""
+function decides whether a stack is stepped as float64, one function
+spells the parity mirror, and every name the benchmark tracer wraps
+exists. Also that a run on frame nodes builds none of the frame's cross
+terms."""
 
 import ast
 import importlib
@@ -125,6 +126,24 @@ def test_one_function_decides_the_stack_dtype():
     # float64" is one rule; a second site would be a second rule to keep
     # in line with it, as evolve's and the conditioned path's once were
     found = _functions_holding(_asks_if_a_state_is_real)
+    assert len(set(found)) == 1, found
+
+
+def _reverses(node) -> bool:
+    """A slice with step -1, as in x[::-1, ::-1]: an index reversal."""
+    step = node.step if isinstance(node, ast.Slice) else None
+    return (
+        isinstance(step, ast.UnaryOp) and isinstance(step.op, ast.USub)
+        and isinstance(step.operand, ast.Constant) and step.operand.value == 1
+    ) or (isinstance(step, ast.Constant) and step.value == -1)
+
+
+def test_one_function_reflects_the_parity_half():
+    # the joint x-parity is the index reversal a -> n - 1 - a; the averaged
+    # rate and step fill half their rows by it and evolve checks a start
+    # against it, all through one function, so a second spelling of the
+    # mirror cannot drift from the first
+    found = _functions_holding(_reverses)
     assert len(set(found)) == 1, found
 
 
