@@ -15,7 +15,7 @@ from .algebra import (
     single_mode_frame,
     two_mode_frame,
 )
-from .dynamics import EvolutionSpec, evolve, dissipator
+from .dynamics import EvolutionSpec, evolve
 from .feedback import FeedbackScheme, GainError
 from .metrics import MetricsRow, compute_metrics, min_squeezing_sweep
 from .optimal_states import optimal_curve, min_xi2_on_curve
@@ -32,7 +32,6 @@ __all__ = [
     "two_mode_frame",
     "EvolutionSpec",
     "evolve",
-    "dissipator",
     "FeedbackScheme",
     "GainError",
     "MetricsRow",

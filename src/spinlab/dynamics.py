@@ -7,22 +7,24 @@ In scaled time v the record-averaged state obeys
 
 with Z = Z(v), Y = Y(v) from the measurement frame and L the scaled
 feedback gain. The first term is the twisting the feedback synthesises;
-the dissipator carries both the measurement back-action and the fed-back
-noise. Both rates are Hermitian to the last bit, so evolve Hermitizes
-rho0 once and the state stays Hermitian exactly, and the trace is left
-alone so integrator failure shows up as drift instead of being hidden by
-renormalisation.
+the D[Z - i L Y] term carries both the measurement back-action and the
+fed-back noise. Both rates are Hermitian to the last bit, so evolve
+Hermitizes rho0 once and the state stays Hermitian exactly, and the
+trace is left alone so integrator failure shows up as drift instead of
+being hidden by renormalisation. Every feedback step, Euler or
+Adams-Bashforth, is the one update unconditioned_step, rho + delta_v rate.
 
 Every run, record-averaged here or record-conditioned in ``stochastic``,
 goes through one step loop, ``integrate``: it checks the trace, asks the
-gain law for the gain, records strided metrics rows, audits positivity,
-and ends the run with a defined status; the gain law, metrics row and
-step share one ``algebra.Moments`` read per step and the frame's bundle
-at v, ``frame.at(v)``, so each expectation is computed once. It steps a
-stack of runs at once, a deterministic run being a stack of one, a
-batch of conditioned trajectories a stack of many on one frame, and a
-single-mode size sweep a stack of spins on a member-stacked frame, and
-ends each run with its own status. What differs between runs is only the step it is handed:
+gain law for the gain, records strided metrics rows, audits positivity
+every AUDIT_STRIDE steps, and ends the run with a defined status; the
+gain law, metrics row and step share one ``algebra.Moments`` read per
+step and the frame's bundle at v, ``frame.at(v)``, so each expectation
+is computed once. It steps a stack of runs at once, a deterministic run
+being a stack of one, a batch of conditioned trajectories a stack of
+many on one frame, and a single-mode size sweep a stack of spins on a
+member-stacked frame, and ends each run with its own status. What
+differs between runs is only the step it is handed:
 
 * When each step spans exactly a quarter frame period (two samples,
   omega delta_v = pi/2, the default ``omega = "auto"``), consecutive
@@ -32,7 +34,8 @@ ends each run with its own status. What differs between runs is only the step it
   limit of node cycling, with the two-step Adams-Bashforth rule started
   by one Euler step: second order, one rate evaluation per step. The
   gain laws read moments averaged over the same two nodes.
-* Countertwisting has a constant Hamiltonian H, so its step is the exact
+* Countertwisting has a constant Hamiltonian H, the cross-sample or the
+  collective form as the frame's mode says, so its step is the exact
   propagator exp(-i H delta_v), built once per run from the eigenvectors
   of H; it keeps the state positive and its trace one to rounding.
 * Every other frame and rate steps forward Euler, the generator
@@ -99,13 +102,8 @@ _QUARTER_TOL = 1e-9
 # how far a start of the period-averaged step may sit from parity-even; the
 # +x coherent product state sits 1.5e-16 away, a state tilted off x O(1)
 _PARITY_TOL = 1e-12
-
-
-def dissipator(r, rho):
-    """D[r] rho = r rho r^dag - (r^dag r rho + rho r^dag r)/2."""
-    rd = r.conj().T
-    rdr = rd @ r
-    return r @ rho @ rd - 0.5 * (rdr @ rho + rho @ rdr)
+# positivity spot-check cadence, in steps
+AUDIT_STRIDE = 200
 
 
 @dataclass
@@ -113,14 +111,13 @@ class EvolutionSpec:
     """What to integrate and how finely."""
 
     frame: MeasurementFrame
-    generator: str = "feedback"  # feedback | countertwist-two | countertwist-single
+    generator: str = "feedback"  # feedback | countertwist, its form picked by the frame's mode
     delta_v: float = 1e-3
     v_max: float = 20.0
     record_stride: int = 1
-    audit_stride: int = 200  # positivity spot-check cadence, in steps
 
     def __post_init__(self):
-        if self.generator not in ("feedback", "countertwist-two", "countertwist-single"):
+        if self.generator not in ("feedback", "countertwist"):
             raise ValueError(f"unknown generator {self.generator!r}")
         if not (0 < self.delta_v <= 0.1):
             raise ValueError(f"delta_v out of range: {self.delta_v}")
@@ -136,23 +133,20 @@ class EvolutionSpec:
         return round(self.v_max / self.delta_v)
 
 
-def countertwist_hamiltonian(frame: MeasurementFrame, variant: str):
-    """Two-axis countertwisting generator.
+def countertwist_hamiltonian(frame: MeasurementFrame):
+    """Two-axis countertwisting generator: the cross-sample form
+    J_z1 J_y2 + J_y1 J_z2 on a two-mode frame, the collective form
+    (Jz Jy + Jy Jz)/2 on a single-mode one.
 
-    The cross-sample form J_z1 J_y2 + J_y1 J_z2 and the collective form
-    (Jz Jy + Jy Jz)/2 generate identical flows when two spin-1/2 samples
-    are read as one spin 1; the factor of one half is what makes that
-    correspondence exact.
+    The two generate identical flows when two spin-1/2 samples are read as
+    one spin 1; the factor of one half is what makes that correspondence
+    exact.
     """
-    if variant == "countertwist-two":
-        if frame.mode != "two":
-            raise ValueError("two-sample countertwisting needs a two-mode frame")
+    if frame.mode == "two":
         jz1, jz2 = on_samples(frame.sample.jz)
         jy1, jy2 = on_samples(frame.sample.jy)
         return jz1 @ jy2 + jy1 @ jz2
-    if variant == "countertwist-single":
-        return 0.5 * frame.at(0.0).zy  # collective Jz Jy + Jy Jz
-    raise ValueError(f"unknown countertwisting variant {variant!r}")
+    return 0.5 * frame.at(0.0).zy  # collective Jz Jy + Jy Jz
 
 
 def feedback_rate(frame: MeasurementFrame, rho, v: float, lam):
@@ -292,51 +286,38 @@ def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None
     top = rho[:h]
     _per_sample_products(k, rho, rho, p, q)
     np.subtract(p, q, out=a)
-    if lam != 0.0:
-        q += p  # b
-        comm = _plus_dagger(a, p, h)
-        y = _plus_dagger(q, g, h)  # 4Y, built in place
-        y *= lam * lam
-        y += np.multiply(np.multiply(ds, top, out=q[:h]), 2.0 * lam, out=q[:h])
-        np.subtract(y, comm, out=q[:h])  # V
-        comm += y  # U
-    else:
-        np.negative(_plus_dagger(a, p, h), out=q[:h])
-        np.multiply(fd, top, out=a[:h])  # - F o rho
+    q += p  # b
+    comm = _plus_dagger(a, p, h)
+    y = _plus_dagger(q, g, h)  # 4Y, built in place
+    y *= lam * lam
+    y += np.multiply(np.multiply(ds, top, out=q[:h]), 2.0 * lam, out=q[:h])
+    np.subtract(y, comm, out=q[:h])  # V
+    comm += y  # U
     # U and V are odd; the products below read all of U and V's top row blocks
     _fill_by_parity(p, -1.0)
     _fill_by_parity(q, -1.0, stop=blocks * d)
     _per_sample_products(scratch["quarter_k"], p, q, g, p, blocks)
     g[:h] += p[:h]
-    if lam != 0.0:
-        tr = q.view(float)[:h, :n]  # a real h x n array in q's memory
-        a[:h] *= np.multiply(de, 0.5 * lam, out=tr)
-        np.add(np.multiply(fe, lam * lam, out=tr), fd, out=tr)
-        a[:h] += np.multiply(tr, top, out=p[:h])  # - F o rho
+    tr = q.view(float)[:h, :n]  # a real h x n array in q's memory
+    a[:h] *= np.multiply(de, 0.5 * lam, out=tr)
+    np.add(np.multiply(fe, lam * lam, out=tr), fd, out=tr)
+    a[:h] += np.multiply(tr, top, out=p[:h])  # - F o rho
     g[:h] += a[:h]
     rate = np.empty_like(g)
     _plus_dagger(_fill_by_parity(g), rate, h)
     return _fill_by_parity(rate)
 
 
-def unconditioned_step(
-    rho, frame: MeasurementFrame, v: float, lam: float, delta_v: float, rate=None
-):
-    """One step of the feedback master equation.
-
-    Forward Euler on feedback_rate, re-Hermitized, unless a rate is given,
-    whose array then becomes the next state: feedback_rate itself, or the
-    averaged integrator's Adams-Bashforth combination of averaged rates.
-    Each is Hermitian to the last bit (W + W^dag or G + G^dag, and real
-    combinations keep that), so re-Hermitizing would change nothing.
-    Without a rate the step is Hermitian from any rho.
-    """
-    if rate is not None:
-        rate *= delta_v
-        rate += rho
-        return rate
-    out = rho + delta_v * feedback_rate(frame, rho, v, lam)
-    return 0.5 * (out + dagger(out))
+def unconditioned_step(rho, rate, delta_v: float):
+    """One step of the feedback master equation, rho + delta_v rate, built
+    in the rate's array and returned: forward Euler on feedback_rate, or
+    the averaged integrator's Adams-Bashforth combination of averaged
+    rates. Each rate is Hermitian to the last bit (W + W^dag or G + G^dag,
+    and real combinations keep that), so from a Hermitian rho the step is
+    too."""
+    rate *= delta_v
+    rate += rho
+    return rate
 
 
 def _quarter_period_steps(spec: EvolutionSpec) -> bool:
@@ -388,7 +369,7 @@ def integrate(
     (v, v + delta_v) when nodes is set), records the named columns of
     metrics(read, frame, v=, lam=), whose rows come in METRIC_COLUMNS
     order, every record_stride steps into one table preallocated for the
-    batch, audits positivity every audit_stride steps, and then calls
+    batch, audits positivity every AUDIT_STRIDE steps, and then calls
     step(rho, frame, v, lam, live, read) for the next stack and each
     state's trace before renormalisation (None if the step does not
     renormalise). read is the algebra.Moments of the live stack that the
@@ -432,7 +413,7 @@ def integrate(
     real part; otherwise the stack takes rho0's dtype.
     """
     frame, dv = spec.frame, spec.delta_v
-    n_steps, stride, audit_stride = spec.n_steps, spec.record_stride, spec.audit_stride
+    n_steps, stride = spec.n_steps, spec.record_stride
     if rho0.shape[-2:] != (frame.dim, frame.dim):
         raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
     if real_step and not rho0.imag.any():
@@ -541,7 +522,7 @@ def integrate(
                 lam = _kept(lam, end({k: (STATUS_OK,) for k, z in enumerate(zeta) if not z > zeta_floor}))
                 if not live.size:
                     break
-        if audit_stride and n % audit_stride == 0:
+        if n % AUDIT_STRIDE == 0:
             low = np.linalg.eigvalsh(rho)[:, 0]
             for k in np.flatnonzero((low < EIG_FLOOR) & (min_eig_floor >= EIG_FLOOR)):
                 # warn once per run; the worst excursion lands in min_eig_floor
@@ -589,13 +570,16 @@ def evolve(
     stacked = rho0.ndim == 3
     # every step keeps a Hermitian state Hermitian to the last bit, so
     # Hermiticity is imposed once, and only on a start that lacks it: a
-    # complex copy held through a real run would cost memory for nothing
-    if not np.array_equal(rho0, dagger(rho0)):
+    # complex copy held through a real run would cost memory for nothing.
+    # Row against column, so the check builds no n x n temporary
+    if not all(
+        np.array_equal(row, col.conj()) for row, col in zip(np.moveaxis(rho0, -2, 0), np.moveaxis(rho0, -1, 0))
+    ):
         rho0 = 0.5 * (rho0 + dagger(rho0))
     dv = spec.delta_v
     averaged = _quarter_period_steps(spec)
     if spec.generator != "feedback":
-        propagator = countertwist_propagator(countertwist_hamiltonian(spec.frame, spec.generator), dv)
+        propagator = countertwist_propagator(countertwist_hamiltonian(spec.frame), dv)
 
         def advance(rho, frame, v, lam, live):
             # a member-stacked frame has one propagator per member
@@ -619,7 +603,7 @@ def evolve(
                 rho = rho + _mirror(rho)
                 rho *= 0.5
                 last_rate = averaged_rate(frame, rho, lam, scratch)
-                return unconditioned_step(rho, frame, v, lam, dv, rate=last_rate.copy())
+                return unconditioned_step(rho, last_rate.copy(), dv)
             rate = averaged_rate(frame, rho, lam, scratch)
             combined, last_rate = last_rate, rate
             # dv (1.5 rate - 0.5 last) = 1.5 dv (rate - last/3), built on the
@@ -627,25 +611,20 @@ def evolve(
             # becomes the state once its other rows are filled by the parity
             combined[:h] *= -1.0 / 3.0
             combined[:h] += rate[:h]
-            unconditioned_step(rho[:h], frame, v, lam, 1.5 * dv, rate=combined[:h])
+            unconditioned_step(rho[:h], combined[:h], 1.5 * dv)
             return _fill_by_parity(combined)
 
     else:
 
         def advance(rho, frame, v, lam, live):
-            return unconditioned_step(rho, frame, v, lam, dv, rate=feedback_rate(frame, rho, v, lam))
+            return unconditioned_step(rho, feedback_rate(frame, rho, v, lam), dv)
 
-    if stacked:
-
-        def step(rho, frame, v, lam, live, read):
+    def step(rho, frame, v, lam, live, read):
+        if stacked:
             return advance(rho, frame, v, lam, live), None
-
-    else:
-
-        def step(rho, frame, v, lam, live, read):
-            # one run is a stack of one state
-            lam = float(lam[0] if isinstance(lam, np.ndarray) else lam)
-            return advance(rho[0], frame, v, lam, live)[None], None
+        # one run is a stack of one state
+        lam = float(lam[0] if isinstance(lam, np.ndarray) else lam)
+        return advance(rho[0], frame, v, lam, live)[None], None
 
     size = len(rho0) if stacked else 1
     records = integrate(

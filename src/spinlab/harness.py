@@ -127,10 +127,9 @@ class SimConfig:
 
     def spec(self) -> EvolutionSpec:
         """What to integrate, on a freshly built frame."""
-        generator = f"countertwist-{self.mode}" if self.scheme == "countertwist" else "feedback"
         return EvolutionSpec(
             frame=self.frame(),
-            generator=generator,
+            generator="countertwist" if self.scheme == "countertwist" else "feedback",
             delta_v=self.delta_v,
             v_max=self.v_max,
             record_stride=self.stride,

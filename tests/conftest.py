@@ -12,6 +12,14 @@ def random_density(dim: int, seed: int = 0) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def dissipator(r, rho):
+    """D[r] rho = r rho r^dag - (r^dag r rho + rho r^dag r)/2: the
+    Lindblad dissipator, the oracle for the rates built from it."""
+    rd = r.conj().T
+    rdr = rd @ r
+    return r @ rho @ rd - 0.5 * (rdr @ rho + rho @ rdr)
+
+
 def random_pure(dim: int, rng) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)

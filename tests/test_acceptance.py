@@ -165,8 +165,8 @@ def test_criterion_03_spin_half_pair_equivalence(spin1_runs):
     jxp, jyp, jzp = (np.kron(op, eye) + np.kron(eye, op) for op in (m.jx, m.jy, m.jz))
     paired = two_mode_frame(1, omega=math.pi / 0.002)
     merged = MeasurementFrame(jxp, jyp, jzp, 2)
-    h_pair = countertwist_hamiltonian(paired, "countertwist-two")
-    h_merged = countertwist_hamiltonian(merged, "countertwist-single")
+    h_pair = countertwist_hamiltonian(paired)
+    h_merged = countertwist_hamiltonian(merged)
     h_gap = float(np.abs(h_pair - h_merged).max())
     rho_a = css_rho("two", 1)
     rho_b = rho_a.copy()

@@ -33,6 +33,7 @@ _TINY = dict(delta_v=1e-3, v_max=0.05, stride=5)
 
 RUNS = {
     "averaged-two": SimConfig(mode="two", twice_j=4, scheme="simple", **_TINY),
+    "averaged-none": SimConfig(mode="two", twice_j=4, scheme="none", **_TINY),
     "euler-two-optimal": SimConfig(mode="two", twice_j=2, scheme="optimal", omega=7.3, **_TINY),
     "euler-single": SimConfig(mode="single", twice_j=4, scheme="analytic", **_TINY),
     "countertwist-two": SimConfig(mode="two", twice_j=4, scheme="countertwist", **_TINY),
@@ -86,6 +87,7 @@ def artifact_hashes(out) -> dict:
 EXPECTED = {
     "aborted-averaged.csv": "1587c7aedd61ec6ed765265bdd160c4459b3747c87d99e720e29c7d3c104f073",
     "aborted-conditioned.csv": "56761c88212b1fea372fe92bae1b77f1307633915852525a6f52e0ca40a03d39",
+    "averaged-none.csv": "be4d07499107190dc79cef30e602d85f926e5a54cb0191e59c7c9e34f2cf9938",
     "averaged-two.csv": "8ce4c3c69899745521649704c19eea2f434a1345f946f9633d17f1a3620cacea",
     "conditioned.csv": "967cfcb3a6d4680848a0e59335775a53882fcf4928bc1538e76b2e45c280c122",
     "countertwist-single.csv": "93244e453f4cca04a0c0a8397b0c77385c0c6b71b3eb4ae41e234a8fe3f66246",

@@ -7,7 +7,7 @@ import pytest
 from conftest import css_rho, random_density
 
 from spinlab.algebra import expect_real, single_mode_frame, two_mode_frame
-from spinlab.dynamics import unconditioned_step
+from spinlab.dynamics import feedback_rate, unconditioned_step
 from spinlab.feedback import (
     FeedbackScheme,
     GainError,
@@ -63,7 +63,7 @@ def _states_along_flow(frame, twice_j, mode, v_stop, dv=1e-3):
         if k % 100 == 0:
             out.append((v, rho.copy()))
         lam, _ = scheme.gain(rho, frame, v)
-        rho = unconditioned_step(rho, frame, v, lam, dv)
+        rho = unconditioned_step(rho, feedback_rate(frame, rho, v, lam), dv)
     return out
 
 

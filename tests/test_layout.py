@@ -3,9 +3,9 @@ others only through their public names, the frame's operators are read
 only through its public methods and at a time only through frame.at(v),
 one module owns process fan-out, one function loops over the steps, one
 function decides whether a stack is stepped as float64, one function
-spells the parity mirror, and every name the benchmark tracer wraps
-exists. Also that a run on frame nodes builds none of the frame's cross
-terms."""
+spells the parity mirror, every name the benchmark tracer wraps exists,
+and every function and class of dynamics has a caller in the package.
+Also that a run on frame nodes builds none of the frame's cross terms."""
 
 import ast
 import importlib
@@ -170,6 +170,28 @@ def test_every_traced_site_resolves():
         if not hasattr(found, attr):
             missing.append(f"{owner}.{attr}")
     assert not missing
+
+
+def _referenced(node) -> str | None:
+    """The name a Name or Attribute node reads, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_dynamics_definition_has_a_caller_in_the_package():
+    # a path only tests take is code no run checks; an import or an
+    # __all__ entry is not a caller, and neither is the definition itself
+    uncalled = []
+    for definition in SOURCES["dynamics"].body:
+        if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(
+            _referenced(node) == definition.name and id(node) not in inside
+            for tree in SOURCES.values()
+            for node in ast.walk(tree)
+        ):
+            uncalled.append(definition.name)
+    assert not uncalled
 
 
 def test_node_run_builds_no_cross_term():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spinlab import dynamics
 from spinlab.algebra import expect_real, moments_of, single_mode_frame, spin_matrices, two_mode_frame
 from spinlab.dynamics import EvolutionSpec, evolve
 from spinlab.feedback import FeedbackScheme, GainError
@@ -204,7 +205,7 @@ def test_trajectory_reproducible_and_index_sensitive():
 
 def test_trajectory_rejects_non_feedback_generator():
     frame = single_mode_frame(2)
-    spec = _spec(frame, generator="countertwist-single", v_max=0.1)
+    spec = _spec(frame, generator="countertwist", v_max=0.1)
     with pytest.raises(ValueError, match="feedback"):
         trajectory_run(css_rho("single", 2), spec)
 
@@ -235,9 +236,10 @@ def test_trajectory_row_contract():
     assert v[0] == 0.0 and np.all(np.diff(v) > 0)
 
 
-def test_trajectory_diagnostics_match_a_replay():
+def test_trajectory_diagnostics_match_a_replay(monkeypatch):
+    monkeypatch.setattr(dynamics, "AUDIT_STRIDE", 7)
     frame = two_mode_frame(1, omega=math.pi / 2e-3)
-    spec = _spec(frame, delta_v=1e-3, v_max=0.05, audit_stride=7)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.05)
     controller = FeedbackScheme("simple-conditioned")
     rho0 = css_rho("two", 1)
     rec = trajectory_run(rho0, spec, controller, seed=13, traj_index=2)
@@ -246,7 +248,7 @@ def test_trajectory_diagnostics_match_a_replay():
     stream = WienerStream(13, 2)
     rho, drift, low = rho0.astype(complex), 0.0, 0.0
     for n in range(spec.n_steps + 1):
-        if n % spec.audit_stride == 0:
+        if n % dynamics.AUDIT_STRIDE == 0:
             low = min(low, float(np.linalg.eigvalsh(rho)[0]))
         if n == spec.n_steps:
             break
@@ -259,12 +261,13 @@ def test_trajectory_diagnostics_match_a_replay():
     assert rec.min_eig_floor == low
 
 
-def test_trajectory_reports_a_negative_eigenvalue():
+def test_trajectory_reports_a_negative_eigenvalue(monkeypatch):
     # a diagonal start is a fixed point of the unfed J_z measurement up to
     # its weights; the audit at v = 0 reads the constructed eigenvalue
+    monkeypatch.setattr(dynamics, "AUDIT_STRIDE", 1000)
     frame = single_mode_frame(2)
     rho0 = np.diag([0.75, 0.5, -0.25]).astype(complex)
-    spec = _spec(frame, delta_v=1e-3, v_max=0.01, audit_stride=1000)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.01)
     rec = trajectory_run(rho0, spec, seed=1)
     assert rec.min_eig_floor == -0.25
 
@@ -394,10 +397,11 @@ def _assert_matches_singles(records, rho0, spec, controller, seed):
     (single_mode_frame(2), two_mode_frame(2, omega=math.pi / 2e-3)),
     ids=("spin-1", "two-mode-quarter-period"),
 )
-def test_batch_equals_single_trajectories(frame):
+def test_batch_equals_single_trajectories(frame, monkeypatch):
+    monkeypatch.setattr(dynamics, "AUDIT_STRIDE", 7)
     mode = frame.mode
     rho0 = css_rho(mode, 2)
-    spec = _spec(frame, delta_v=1e-3, v_max=0.06, record_stride=2, audit_stride=7)
+    spec = _spec(frame, delta_v=1e-3, v_max=0.06, record_stride=2)
     controller = FeedbackScheme("simple-conditioned")
     records = run_trajectories(rho0, spec, controller, seed=8, n_trajectories=5)
     assert all(r.ok for r in records) and records[0].n_rows == 31
@@ -478,11 +482,13 @@ def test_noise_blocks_equal_single_increments():
     assert np.array_equal(draws, [single.increment(dv) for _ in range(NOISE_BLOCK + 5)])
 
 
-def test_trajectory_replays_across_a_noise_block_boundary():
+def test_trajectory_replays_across_a_noise_block_boundary(monkeypatch):
     frame = single_mode_frame(2)
     dv = 1e-3
-    spec = _spec(frame, delta_v=dv, v_max=(NOISE_BLOCK + 3) * dv, audit_stride=0)
+    spec = _spec(frame, delta_v=dv, v_max=(NOISE_BLOCK + 3) * dv)
     assert spec.n_steps == NOISE_BLOCK + 3
+    # one audit, of the start: the replay reads no audit
+    monkeypatch.setattr(dynamics, "AUDIT_STRIDE", spec.n_steps + 1)
     controller = FeedbackScheme("simple-conditioned")
     rho0 = css_rho("single", 2)
     rec = trajectory_run(rho0, spec, controller, seed=2, traj_index=1)
