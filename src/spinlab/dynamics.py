@@ -68,12 +68,20 @@ a -> n - 1 - a with no sign, keeps J_x and negates K and the diagonal
 J_z^+ and J_z^-. Both node generators commute with it, so the averaged
 run keeps a parity-even state even. The averaged rate and its
 Adams-Bashforth step therefore compute only the top ceil(n/2) rows and
-fill the rest by the mirror (see averaged_rate for which operators are
-odd and how an odd n's middle row is kept). The reduction is exact for
-an even start only, so evolve refuses any other on the averaged path;
-every start in this package, the +x coherent product state, is even to
+fill the rest by the mirror; no pass of either covers every row (see
+averaged_rate for which operators are odd, which rows each pass covers
+and how an odd n's middle row is kept). The reduction is exact for an
+even start only, so evolve refuses any other on the averaged path; every
+start in this package, the +x coherent product state, is even to
 rounding. The first step starts from the start's exact parity
 projection, and every later state is even and Hermitian to the last bit.
+So from the first step on, integrate reads every moment on the parity
+half of the state: Tr[op rho] is twice the dot product over the first
+floor(N/2) entries of the flattened state (N = n^2), plus the middle
+entry's term when N is odd (algebra.expect_real). That needs op even as
+well, and every operator the gain laws and the metrics row read on this
+path is: J_x^+, zeta_op, X^2, and each node's Z^2 and ZXZ. The start,
+even only to rounding, is read in full.
 """
 
 from __future__ import annotations
@@ -192,13 +200,27 @@ def _per_sample_products(k, x, y, p, q, blocks=None):
     np.matmul(k, y[:rows].view(float).reshape(blocks, d, -1), out=q[:rows].view(float).reshape(blocks, d, -1))
 
 
-def _plus_dagger(x, out, rows):
-    """The top rows of x + x^dag into out's, through the real and imaginary
-    views (a complex x.T.conj() would be a copy); returns them."""
+def _plus_dagger(x, out, sign=1.0):
+    """The top h = ceil(n/2) rows of x + x^dag into out's, for an n x n
+    array x that is sign-even under the parity, from x's top h rows alone:
+    below them x[k, i] = sign x[n - 1 - k, n - 1 - i], so the top rows of
+    x^T are x's top-left h x h block transposed beside sign times the
+    mirror of its top-right block, transposed. Those are copied into out's
+    top rows (a copy reads a transposed operand without the buffers a ufunc
+    would fill), and x's top rows are added through the real and imaginary
+    views. out must not share memory with x's top rows. Returns out's top
+    rows."""
+    n = x.shape[0]
+    h, m = (n + 1) // 2, n // 2
+    t = out[:h]
+    t[:, :h] = x[:h, :h].T
+    t[:, h:] = _mirror(x[:m, m:]).T
+    if sign < 0:
+        np.negative(t[:, h:], out=t[:, h:])
     if x.dtype.kind == "c":
-        np.subtract(x.imag[:rows], x.imag[:, :rows].T, out=out.imag[:rows])
-    np.add(x.real[:rows], x.real[:, :rows].T, out=out.real[:rows])
-    return out[:rows]
+        np.subtract(x.imag[:h], t.imag, out=t.imag)
+    t.real += x.real[:h]
+    return t
 
 
 def _mirror(x):
@@ -247,23 +269,35 @@ def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None
 
     Parity: in the |m1, m2> basis the joint x-parity is the index reversal
     a -> n - 1 - a with no sign. It keeps J_x and negates K and both J_z
-    diagonals, so A, B, D and E are odd, and for an even rho so are a, b,
-    [A, rho], [B, rho], Y, U and V, while G and the rate are even. So the
-    rate computes P, Q, a and b whole, every later elementwise pass on the
-    top h = ceil(n/2) rows only, fills the rest of U and V as the negated
-    mirror of their top, makes the second pair of products on the top
-    ceil(d/2) row blocks, and fills G from its top by the mirror, the
-    right half of an odd n's middle row included, from its left half. The
-    rate, the top rows of G + G^dag filled the same way, is then Hermitian
-    and parity-even to the last bit, whatever the rounding of rho's
-    parity. It matches the rate computed on every row to rounding.
+    diagonals, so K (x) 1, 1 (x) K, A, B, D and E are odd, and for an even
+    rho so are P, Q, a, b, [A, rho], [B, rho], Y, U and V, while G and the
+    rate are even: below its top h = ceil(n/2) rows an odd or even x has
+    x[k, i] = -+ x[n - 1 - k, n - 1 - i]. So, pass by pass:
+
+    * the first pair of products makes the top ceil(d/2) row blocks of P
+      and Q (P reads every row of rho, Q only those blocks);
+    * a and b, and every later elementwise pass, cover the top h rows;
+    * the top rows of [A, rho], [B, rho] and G + G^dag are built from the
+      top rows of a, b and G alone: the top rows of x^T are x's top-left
+      h x h block transposed beside -+ the mirror of its top-right block,
+      transposed (_plus_dagger), so G is never filled;
+    * U's other rows, and V's down to its top ceil(d/2) row blocks, are
+      filled as the negated mirror of their top rows, because the second
+      pair of products, on the top ceil(d/2) row blocks, reads them;
+    * the rate's other rows are filled from its top h rows by the mirror,
+      the right half of an odd n's middle row from its left half.
+
+    No pass covers every row. The rate is then Hermitian and parity-even
+    to the last bit, whatever the rounding of rho's parity, and matches
+    the rate computed on every row to rounding.
 
     scratch is a dict the first call fills with K/4, four n x n arrays in
     rho's dtype and four real h x n arrays holding the top rows of the run
     constants d_i + d_j, e_i - e_j and the two dephasing rates, so it
     belongs to one frame. A run passes one dict to every step, so a step
     allocates only the returned rate, not a dozen n x n temporaries whose
-    pages fault in again every step.
+    pages fault in again every step; its transposed reads are copies,
+    which fill no ufunc iteration buffers.
     """
     if frame.mode != "two":
         raise ValueError("the period-averaged generator needs a two-mode frame")
@@ -284,27 +318,27 @@ def averaged_rate(frame: MeasurementFrame, rho, lam: float, scratch: dict | None
         scratch["quarter_k"] = 0.25 * k
     (p, q, a, g), (ds, de, fd, fe) = scratch["work"], scratch["real"]
     top = rho[:h]
-    _per_sample_products(k, rho, rho, p, q)
-    np.subtract(p, q, out=a)
-    q += p  # b
-    comm = _plus_dagger(a, p, h)
-    y = _plus_dagger(q, g, h)  # 4Y, built in place
+    _per_sample_products(k, rho, rho, p, q, blocks)
+    np.subtract(p[:h], q[:h], out=a[:h])
+    q[:h] += p[:h]  # b
+    y = _plus_dagger(q, p, -1.0)  # 4Y, built in place
     y *= lam * lam
     y += np.multiply(np.multiply(ds, top, out=q[:h]), 2.0 * lam, out=q[:h])
-    np.subtract(y, comm, out=q[:h])  # V
-    comm += y  # U
+    comm = _plus_dagger(a, q, -1.0)
+    np.subtract(y, comm, out=g[:h])  # V
+    y += comm  # U
     # U and V are odd; the products below read all of U and V's top row blocks
     _fill_by_parity(p, -1.0)
-    _fill_by_parity(q, -1.0, stop=blocks * d)
-    _per_sample_products(scratch["quarter_k"], p, q, g, p, blocks)
-    g[:h] += p[:h]
-    tr = q.view(float)[:h, :n]  # a real h x n array in q's memory
+    _fill_by_parity(g, -1.0, stop=blocks * d)
+    _per_sample_products(scratch["quarter_k"], p, g, q, p, blocks)
+    q[:h] += p[:h]
+    tr = g.view(float).reshape(-1)[: h * n].reshape(h, n)  # a real h x n array in g's memory
     a[:h] *= np.multiply(de, 0.5 * lam, out=tr)
     np.add(np.multiply(fe, lam * lam, out=tr), fd, out=tr)
     a[:h] += np.multiply(tr, top, out=p[:h])  # - F o rho
-    g[:h] += a[:h]
-    rate = np.empty_like(g)
-    _plus_dagger(_fill_by_parity(g), rate, h)
+    q[:h] += a[:h]  # G
+    rate = np.empty_like(q)
+    _plus_dagger(q, rate)
     return _fill_by_parity(rate)
 
 
@@ -357,7 +391,7 @@ def _kept(lam, keep):
 
 def integrate(
     rho0, spec: EvolutionSpec, controller, step, metrics, columns, metas: list[dict],
-    *, nodes: bool = False, window=None, zeta_floor: float | None = None, real_step: bool = False,
+    *, averaged: bool = False, window=None, zeta_floor: float | None = None, real_step: bool = False,
 ) -> list[TrajectoryRecord]:
     """The step loop every run shares, averaged or conditioned.
 
@@ -366,7 +400,7 @@ def integrate(
     record per run, its meta extended by that run's entry of metas. Each
     of the n_steps + 1 iterations checks every live state's trace, makes
     one gain call for the whole live stack at v (at the node times
-    (v, v + delta_v) when nodes is set), records the named columns of
+    (v, v + delta_v) when averaged is set), records the named columns of
     metrics(read, frame, v=, lam=), whose rows come in METRIC_COLUMNS
     order, every record_stride steps into one table preallocated for the
     batch, audits positivity every AUDIT_STRIDE steps, and then calls
@@ -411,6 +445,16 @@ def integrate(
     real_step says the step keeps a real state real. Then a rho0 whose
     imaginary part is exactly zero is stepped as a float64 stack, its
     real part; otherwise the stack takes rho0's dtype.
+
+    averaged says the step is the period-averaged two-mode step of one
+    state. Then the gain reads the node times, and every state past rho0 is
+    parity-even to the last bit (the first step starts from rho0's exact
+    parity projection), so from the first step on each read of the step's
+    Moments is a parity-half read (algebra.expect_real), half the entries
+    of a full read: exact to rounding, because every operator read on
+    that path (J_x^+, zeta_op, X^2 and each node's Z^2 and ZXZ) is
+    parity-even too. rho0 itself is even only to rounding, and is read in
+    full.
     """
     frame, dv = spec.frame, spec.delta_v
     n_steps, stride = spec.n_steps, spec.record_stride
@@ -446,6 +490,7 @@ def integrate(
     min_eig_floor = np.zeros(size)
     max_drift = [0.0] * size
     n_rows = 0
+    even = False  # whether the states are exactly parity-even, read by halves
 
     def finish(k, status=STATUS_OK, abort_v=None, abort_reason=""):
         run = live[k]
@@ -473,7 +518,7 @@ def integrate(
         frame = frame.members(keep)
         max_drift = [m for m, kept in zip(max_drift, keep) if kept]
         members = live
-        read = Moments(rho)
+        read = Moments(rho, even)
         return keep
 
     for n in range(spec.n_steps + 1):
@@ -490,8 +535,8 @@ def integrate(
             })
             if not live.size:
                 break
-        read = Moments(rho)
-        t = (v, v + dv) if nodes else v
+        read = Moments(rho, even)
+        t = (v, v + dv) if averaged else v
         try:
             lam, clamped = controller.gain(read, frame, t)
         except GainError as err:
@@ -531,6 +576,7 @@ def integrate(
         if n == n_steps:
             break
         rho, raw = step(rho, frame, v, lam, members, read)
+        even = averaged
         if window is not None:
             raw = raw.tolist()
             max_drift = list(map(max, max_drift, [abs(x - 1.0) for x in raw]))
@@ -629,7 +675,7 @@ def evolve(
     size = len(rho0) if stacked else 1
     records = integrate(
         rho0, spec, controller, step, compute_metrics, columns, [{"conditioned": False}] * size,
-        nodes=averaged, zeta_floor=zeta_floor,
+        averaged=averaged, zeta_floor=zeta_floor,
         real_step=averaged or spec.frame.mode == "single" or spec.generator != "feedback",
     )
     return RecordStack(records) if stacked else records[0]

@@ -48,6 +48,12 @@ def _about(default, help: str, **flag):
     return field(default=default, metadata={"help": help, **flag})
 
 
+def _is_count(x) -> bool:
+    """x is an int and not a bool: Python counts True and False as ints,
+    but no spin size, seed, count or stride is spelled as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One scenario. Defaults give the workhorse case: two samples of
@@ -72,7 +78,7 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode: expected one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.twice_j, int) or self.twice_j < 1:
+        if not _is_count(self.twice_j) or self.twice_j < 1:
             raise ConfigError(f"twice-j: need a positive integer, got {self.twice_j!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme: expected one of {SCHEMES}, got {self.scheme!r}")
@@ -87,15 +93,15 @@ class SimConfig:
                 raise ConfigError(f"omega: need a number or 'auto', got {self.omega!r}") from None
             if not 0 <= omega < math.inf:
                 raise ConfigError(f"omega: need a finite non-negative value, got {omega!r}")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
+        if not _is_count(self.seed) or self.seed < 0 or self.seed >= 2**64:
             raise ConfigError(f"seed: need a 64-bit non-negative integer, got {self.seed!r}")
-        if not isinstance(self.ensemble, int) or self.ensemble < 1:
+        if not _is_count(self.ensemble) or self.ensemble < 1:
             raise ConfigError(f"ensemble: need a positive integer, got {self.ensemble!r}")
-        if not isinstance(self.stride, int) or self.stride < 1:
+        if not _is_count(self.stride) or self.stride < 1:
             raise ConfigError(f"stride: need a positive integer, got {self.stride!r}")
         if not 0 < self.clamp < math.inf:
             raise ConfigError(f"clamp: need a finite positive gain bound, got {self.clamp!r}")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if not _is_count(self.jobs) or self.jobs < 1:
             raise ConfigError(f"jobs: need a positive integer, got {self.jobs!r}")
         if self.conditioned and self.scheme == "countertwist":
             raise ConfigError("scheme: countertwisting has no record to condition on")

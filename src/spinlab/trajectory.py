@@ -14,9 +14,12 @@ STATUS_OK = "ok"
 class TrajectoryRecord:
     """One integrated run: recorded columns plus bookkeeping.
 
-    columns always contains v, zeta, chi, purity, lam, xi2, entangled and
-    mz2 (second moment of the instantaneous measured axis); conditioned
-    runs add zc_mean and yc_mean. An aborted run keeps the rows recorded
+    columns holds the metrics columns the step loop was asked to record,
+    by name, in metrics.METRIC_COLUMNS order: a plain run (evolve's
+    default) records v, zeta, chi, purity, lam, xi2, entangled and mz2
+    (second moment of the instantaneous measured axis), a conditioned run
+    adds zc_mean and yc_mean, and a size sweep records only v, zeta and
+    xi2. Every record has v. An aborted run keeps the rows recorded
     before the failure and reports where it stopped.
     """
 

@@ -12,6 +12,7 @@ from spinlab.algebra import (
     SpinQuantum,
     coherent_spin_state,
     expect_real,
+    parity_half,
     single_mode_frame,
     spin_matrices,
     stack_members,
@@ -351,6 +352,57 @@ def test_per_member_operators_read_one_value_per_member(batch, dtype):
     read = Moments(rho)
     assert np.array_equal(_bits(read(ops)), _bits(want))
     assert read(ops) is read(ops)
+
+
+def _averaged_path_reads(fr, dv=1e-3):
+    """{name: operator} for every operator the simple and optimal gain laws
+    and the metrics row read on the period-averaged path: the gain at the
+    node times (v, v + dv), the metrics row at v on any of the four nodes."""
+    ops = {"x": fr.x_op, "x2": fr.x2_op, "zeta": fr.zeta_op}
+    for node in range(4):
+        at = fr.at(node * dv)
+        ops[f"z2@{node}"], ops[f"zxz@{node}"] = at.z2, at.zxz
+    return ops
+
+
+def _parity_even(rho):
+    """The projection onto the states even under the joint x-parity, the
+    index reversal of the |m1, m2> basis: the states of the averaged path."""
+    return 0.5 * (rho + rho[::-1, ::-1])
+
+
+PARITY_SPINS = (1, 2, 3, 4, 10)  # odd 2j: even n; even 2j: odd n with a middle entry
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("twice_j", PARITY_SPINS)
+def test_parity_half_read_matches_the_full_read(twice_j, dtype):
+    fr = two_mode_frame(twice_j, math.pi / 2e-3)
+    for seed, state in enumerate(_states(fr.dim, dtype, 3)):
+        rho = _parity_even(state)
+        half = parity_half(rho)
+        assert half.base is not None and np.shares_memory(half, rho)  # a view, no copy
+        assert half.size == (fr.dim**2 + 1) // 2
+        read = Moments(rho, even=True)
+        for name, op in _averaged_path_reads(fr).items():
+            want = expect_real(op, rho)
+            got = expect_real(op, half)
+            # relative to the sum of the terms' sizes: a random state's <J_x>
+            # cancels to 1e-4 of it, and the dot's rounding follows the terms
+            scale = np.abs(op * rho).sum()
+            assert abs(got - want) <= 1e-14 * scale, (name, seed, got, want)
+            assert np.array_equal(_bits(read(op)), _bits(got)), name
+    # a stack of one state reads as the state
+    stack = rho[None]
+    assert np.array_equal(_bits(expect_real(fr.x_op, parity_half(stack))), _bits(expect_real(fr.x_op, half)))
+
+
+@pytest.mark.parametrize("twice_j", PARITY_SPINS)
+def test_operators_read_on_the_averaged_path_are_parity_even(twice_j):
+    # the half read is exact only for an even operator (spin 1/2's ZXZ is zero)
+    fr = two_mode_frame(twice_j, math.pi / 2e-3)
+    for name, op in _averaged_path_reads(fr).items():
+        assert np.abs(op - op[::-1, ::-1]).max() <= 1e-15 * np.abs(op).max(), name
 
 
 def test_member_stacked_frame_pads_each_spin():

@@ -85,10 +85,10 @@ def artifact_hashes(out) -> dict:
 
 
 EXPECTED = {
-    "aborted-averaged.csv": "1587c7aedd61ec6ed765265bdd160c4459b3747c87d99e720e29c7d3c104f073",
+    "aborted-averaged.csv": "b1666033630851d4e87b7dc7d075542cfbf862fde7c7211dd3d4ff64ea1a8a3f",
     "aborted-conditioned.csv": "56761c88212b1fea372fe92bae1b77f1307633915852525a6f52e0ca40a03d39",
-    "averaged-none.csv": "be4d07499107190dc79cef30e602d85f926e5a54cb0191e59c7c9e34f2cf9938",
-    "averaged-two.csv": "8ce4c3c69899745521649704c19eea2f434a1345f946f9633d17f1a3620cacea",
+    "averaged-none.csv": "37d93ee642481e7b037d46bb78ea2608fd4cf44b5b324ba480dab886ae9b5b9b",
+    "averaged-two.csv": "a0575b41c5616351479716f332bfe69ceb9aae87216a3012d297f3d0f0893ed8",
     "conditioned.csv": "967cfcb3a6d4680848a0e59335775a53882fcf4928bc1538e76b2e45c280c122",
     "countertwist-single.csv": "93244e453f4cca04a0c0a8397b0c77385c0c6b71b3eb4ae41e234a8fe3f66246",
     "countertwist-two.csv": "fa96efc20c002516d2e1315a7a18d4947dee2c5e80b0b2fbb5d14fb2fa8a2fc3",
@@ -99,7 +99,7 @@ EXPECTED = {
     "euler-single.csv": "601f4a2abad4e1bd664dec88b0a2a8e55959067c534edc397a04075563d8d439",
     "euler-two-optimal.csv": "e3e7c964ad9d3a489e5c5336fd4470409769cbf9494bfec3f77c840467a417a6",
     "frontier.csv": "7123e942a059be067e4a4b9f804637d8782ad1c975f392e10ef00df64e2b26a1",
-    "sweep.csv": "56c9e0fc0126d752557a8106e66816893b7ef4686e712b4bfe33569c25d2ad2b",
+    "sweep.csv": "45a61284398b7ac7d421768832e18a059503bf572f141e557b81fb734de41ed1",
 }
 
 

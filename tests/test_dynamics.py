@@ -456,8 +456,9 @@ def test_averaged_rate_makes_four_products_in_eight_arrays(dtype, monkeypatch):
         products.clear()
         averaged_rate(fr, rho, lam, scratch)
         # each with the d x d per-sample factor, never an n x n operator;
-        # the third makes only the top ceil(d/2) row blocks, with those rows of K
-        assert products == [(5, 5), (5, 5), (3, 5), (5, 5)], lam
+        # the first and third make only the top ceil(d/2) row blocks, with
+        # those rows of K
+        assert products == [(3, 5), (5, 5), (3, 5), (5, 5)], lam
         # four n x n work arrays and the top rows of four run constants
         held = [x for x in scratch.values() if x.shape[-1] == n]
         assert sum(math.prod(x.shape[:-2]) for x in held) == 8
@@ -827,6 +828,41 @@ def test_each_step_computes_each_expectation_once(kw, per_row, per_step, monkeyp
         calls.clear()
         assert run_scenario(SimConfig(v_max=0.02, stride=stride, **kw)).n_rows == rows
         assert len(calls) == rows * per_row + (21 - rows) * per_step, stride
+
+
+@pytest.mark.parametrize(
+    "kw, halves",
+    [
+        (dict(mode="two", twice_j=3, scheme="optimal"), True),
+        (dict(mode="two", twice_j=4, scheme="simple"), True),
+        (dict(mode="two", twice_j=2, scheme="simple", omega=7.3), False),
+        (dict(mode="single", twice_j=4, scheme="simple"), False),
+    ],
+    ids=["averaged-odd-2j", "averaged-even-2j", "two-off-node", "single"],
+)
+def test_averaged_steps_read_the_parity_half(kw, halves, monkeypatch):
+    # the start is even only to rounding and is read in full; from the
+    # first step on an averaged run reads every moment on the first
+    # ceil(n^2/2) flat entries of its exactly even state, and every other
+    # run reads the whole state
+    seen = []
+    full_read = algebra.expect_real
+
+    def watched(op, rho):
+        seen.append(rho.size)
+        return full_read(op, rho)
+
+    monkeypatch.setattr(algebra, "expect_real", watched)
+    config = SimConfig(v_max=0.02, stride=5, **kw)
+    assert run_scenario(config).ok
+    n = config.frame().dim
+    full = [size for size in seen if size == n * n]
+    half = [size for size in seen if size == (n * n + 1) // 2]
+    assert len(full) + len(half) == len(seen)
+    if halves:
+        assert half and seen[: len(full)] == full  # the full reads are the first row's
+    else:
+        assert not half
 
 
 # ------------------------------------------------------------ member stacks

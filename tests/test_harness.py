@@ -50,6 +50,15 @@ def test_config_validation_names_the_field(kw, token):
         SimConfig(**kw)
 
 
+@pytest.mark.parametrize("name", ("twice_j", "seed", "ensemble", "stride", "jobs"))
+def test_config_refuses_a_bool_for_an_integer_field(name):
+    # True passes isinstance(x, int) and would run as 1, but its header
+    # cell reads "True", which the config parser cannot read back
+    for flag in (True, False):
+        with pytest.raises(ConfigError, match=name.replace("_", "-")):
+            SimConfig(**{name: flag})
+
+
 def test_omega_auto_lands_on_quarter_period_nodes():
     config = SimConfig(delta_v=1e-3)
     assert config.omega_value == math.pi / (2 * 1e-3)
