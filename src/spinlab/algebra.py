@@ -384,11 +384,14 @@ def expect_real(op: np.ndarray, rho):
     member's value bit for bit the one np.vdot gives for that state and
     its operator alone.
 
-    rho may also be the parity half of one state (see parity_half): the
-    first ceil(N/2) entries of its flattening, N = n^2. Then the state and
-    op must both be even under the joint x-parity, which reverses the
-    flat index, and the read is 2 <op, rho> over the first floor(N/2)
-    entries plus the middle entry's term when N is odd, on views of both.
+    rho may also be the parity half of one state, the first ceil(N/2)
+    entries of its flattening (N = n^2), as Moments passes it. Then the
+    state and op must both be even under the joint x-parity, which in the
+    two-mode |m1, m2> basis reverses the flat index, and the read is
+    2 <op, rho> over the first floor(N/2) entries plus the middle entry's
+    term when N is odd, on views of both. That is exact to rounding for
+    the even J_x^+, X^2, zeta and node Z^2 and ZXZ; an odd operator, such
+    as the node Z, reads wrong.
     """
     if rho.ndim == 1:
         flat = op.reshape(-1)
@@ -404,16 +407,6 @@ def expect_real(op: np.ndarray, rho):
     return np.vecdot(rho.reshape(len(rho), -1), op.reshape(-1)).real
 
 
-def parity_half(rho) -> np.ndarray:
-    """The first ceil(N/2) entries of the flattened state rho, one n x n
-    state or a stack of one (N = n^2), as a view: all that expect_real
-    needs of a state even under the joint x-parity, in the two-mode
-    |m1, m2> basis the index reversal a -> n - 1 - a on both axes, which
-    is the one reversal of the flat index."""
-    flat = rho.reshape(-1)
-    return flat[: (flat.size + 1) // 2]
-
-
 class Moments:
     """The moment read of a state or (B, n, n) stack rho: read(op) is
     expect_real(op, rho), computed once per operator. Operators are told
@@ -421,14 +414,15 @@ class Moments:
     hand its id on; a blend built twice is read twice, to the same bits.
 
     With even set, rho is one state (or a stack of one) even under the
-    joint x-parity and every operator read is even too; each read is then
-    taken on the parity half of rho, half the entries of the full read."""
+    joint x-parity, and every operator read must be even too (see
+    expect_real): each read then takes the first ceil(N/2) entries of the
+    flattened rho, a view, half the entries of the full read."""
 
     __slots__ = ("rho", "_source", "_seen")
 
     def __init__(self, rho, even: bool = False):
         self.rho = rho
-        self._source = parity_half(rho) if even else rho
+        self._source = rho.reshape(-1)[: (rho.size + 1) // 2] if even else rho
         self._seen = []  # (operator, value) in order of first read
 
     def __call__(self, op):

@@ -79,9 +79,10 @@ So from the first step on, integrate reads every moment on the parity
 half of the state: Tr[op rho] is twice the dot product over the first
 floor(N/2) entries of the flattened state (N = n^2), plus the middle
 entry's term when N is odd (algebra.expect_real). That needs op even as
-well, and every operator the gain laws and the metrics row read on this
-path is: J_x^+, zeta_op, X^2, and each node's Z^2 and ZXZ. The start,
-even only to rounding, is read in full.
+well. The metrics row's reads are (J_x^+, zeta_op, each node's Z^2), and
+so are those of every gain law whose reads_even says so (X^2 and each
+node's ZXZ besides); simple-conditioned reads the odd node Z, so its
+runs, like the start, even only to rounding, are read in full.
 """
 
 from __future__ import annotations
@@ -449,12 +450,13 @@ def integrate(
     averaged says the step is the period-averaged two-mode step of one
     state. Then the gain reads the node times, and every state past rho0 is
     parity-even to the last bit (the first step starts from rho0's exact
-    parity projection), so from the first step on each read of the step's
-    Moments is a parity-half read (algebra.expect_real), half the entries
-    of a full read: exact to rounding, because every operator read on
-    that path (J_x^+, zeta_op, X^2 and each node's Z^2 and ZXZ) is
-    parity-even too. rho0 itself is even only to rounding, and is read in
-    full.
+    parity projection). So from the first step on, when the controller's
+    reads_even says its law reads only parity-even operators, each read of
+    the step's Moments is a parity-half read (algebra.expect_real), half
+    the entries of a full read: exact to rounding, because the metrics
+    row's reads (J_x^+, zeta_op and the node Z^2) are parity-even too.
+    A law that reads an odd operator, or does not say, is read in full,
+    as is rho0, which is even only to rounding.
     """
     frame, dv = spec.frame, spec.delta_v
     n_steps, stride = spec.n_steps, spec.record_stride
@@ -490,7 +492,8 @@ def integrate(
     min_eig_floor = np.zeros(size)
     max_drift = [0.0] * size
     n_rows = 0
-    even = False  # whether the states are exactly parity-even, read by halves
+    even = False  # whether the states are read on their parity half
+    halves = averaged and getattr(controller, "reads_even", False)
 
     def finish(k, status=STATUS_OK, abort_v=None, abort_reason=""):
         run = live[k]
@@ -576,7 +579,7 @@ def integrate(
         if n == n_steps:
             break
         rho, raw = step(rho, frame, v, lam, members, read)
-        even = averaged
+        even = halves
         if window is not None:
             raw = raw.tolist()
             max_drift = list(map(max, max_drift, [abs(x - 1.0) for x in raw]))

@@ -167,6 +167,14 @@ class FeedbackScheme:
         if not 0 < self.clamp < math.inf:
             raise ValueError(f"clamp must be finite and positive, got {self.clamp!r}")
 
+    @property
+    def reads_even(self) -> bool:
+        """Whether every operator the law reads is even under the two-mode
+        joint x-parity (X, X^2 and the node Z^2 and ZXZ, or none), so a
+        parity-even state may be read on its half; simple-conditioned also
+        reads the node Z, which is odd."""
+        return self.kind != "simple-conditioned"
+
     def gain(self, rho, frame: MeasurementFrame, v):
         """(gain, clamped) for the current state and time; rho is one
         state, a (B, n, n) stack, or the Moments of either.

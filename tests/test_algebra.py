@@ -12,13 +12,14 @@ from spinlab.algebra import (
     SpinQuantum,
     coherent_spin_state,
     expect_real,
-    parity_half,
     single_mode_frame,
     spin_matrices,
     stack_members,
     two_mode_coherent_state,
     two_mode_frame,
 )
+from spinlab.feedback import SCHEME_KINDS, FeedbackScheme
+from spinlab.metrics import compute_metrics
 
 SPINS = (1, 2, 10, 20)  # twice_j: j = 1/2, 1, 5, 10
 
@@ -354,21 +355,55 @@ def test_per_member_operators_read_one_value_per_member(batch, dtype):
     assert read(ops) is read(ops)
 
 
-def _averaged_path_reads(fr, dv=1e-3):
-    """{name: operator} for every operator the simple and optimal gain laws
-    and the metrics row read on the period-averaged path: the gain at the
-    node times (v, v + dv), the metrics row at v on any of the four nodes."""
-    ops = {"x": fr.x_op, "x2": fr.x2_op, "zeta": fr.zeta_op}
+class _Recorded(Moments):
+    """A full moment read that keeps every operator it is asked for."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self, rho):
+        super().__init__(rho)
+        self.ops = []
+
+    def __call__(self, op):
+        self.ops.append(op)
+        return super().__call__(op)
+
+
+def _path_reads(fr, kind, dv=1e-3):
+    """{name: operator} for every operator the gain law kind and the metrics
+    row read on the period-averaged path, recorded as they read: the gain
+    at the node times (v, v + dv), the metrics row at v, on each of the
+    four nodes."""
+    psi = two_mode_coherent_state(round(2 * fr.spin_j))
+    rho = np.outer(psi, psi.conj())
+    ops = {}
     for node in range(4):
-        at = fr.at(node * dv)
-        ops[f"z2@{node}"], ops[f"zxz@{node}"] = at.z2, at.zxz
-    return ops
+        read = _Recorded(rho)
+        FeedbackScheme(kind).gain(read, fr, (node * dv, (node + 1) * dv))
+        compute_metrics(read, fr, v=node * dv)
+        for op in read.ops:
+            ops.setdefault(id(op), (f"{len(ops)}@{node}", op))
+    return dict(ops.values())
+
+
+EVEN_KINDS = tuple(kind for kind in SCHEME_KINDS if FeedbackScheme(kind).reads_even)
+
+
+def _averaged_path_reads(fr):
+    """Every operator read on the period-averaged path under a law that
+    says its reads are even, by name."""
+    return {f"{kind}:{name}": op for kind in EVEN_KINDS for name, op in _path_reads(fr, kind).items()}
 
 
 def _parity_even(rho):
     """The projection onto the states even under the joint x-parity, the
     index reversal of the |m1, m2> basis: the states of the averaged path."""
     return 0.5 * (rho + rho[::-1, ::-1])
+
+
+def _flat_half(rho):
+    """The first ceil(N/2) entries of the flattened state, N = n^2."""
+    return rho.reshape(-1)[: (rho.size + 1) // 2]
 
 
 PARITY_SPINS = (1, 2, 3, 4, 10)  # odd 2j: even n; even 2j: odd n with a middle entry
@@ -378,31 +413,37 @@ PARITY_SPINS = (1, 2, 3, 4, 10)  # odd 2j: even n; even 2j: odd n with a middle 
 @pytest.mark.parametrize("twice_j", PARITY_SPINS)
 def test_parity_half_read_matches_the_full_read(twice_j, dtype):
     fr = two_mode_frame(twice_j, math.pi / 2e-3)
+    ops = _averaged_path_reads(fr)
+    assert {"simple", "optimal"} <= set(EVEN_KINDS) and len(ops) >= 11
     for seed, state in enumerate(_states(fr.dim, dtype, 3)):
         rho = _parity_even(state)
-        half = parity_half(rho)
-        assert half.base is not None and np.shares_memory(half, rho)  # a view, no copy
-        assert half.size == (fr.dim**2 + 1) // 2
         read = Moments(rho, even=True)
-        for name, op in _averaged_path_reads(fr).items():
+        assert read._source.base is not None and np.shares_memory(read._source, rho)  # a view, no copy
+        for name, op in ops.items():
             want = expect_real(op, rho)
-            got = expect_real(op, half)
+            got = expect_real(op, _flat_half(rho))
             # relative to the sum of the terms' sizes: a random state's <J_x>
             # cancels to 1e-4 of it, and the dot's rounding follows the terms
             scale = np.abs(op * rho).sum()
             assert abs(got - want) <= 1e-14 * scale, (name, seed, got, want)
             assert np.array_equal(_bits(read(op)), _bits(got)), name
     # a stack of one state reads as the state
-    stack = rho[None]
-    assert np.array_equal(_bits(expect_real(fr.x_op, parity_half(stack))), _bits(expect_real(fr.x_op, half)))
+    stack = Moments(rho[None], even=True)
+    assert np.array_equal(_bits(stack(fr.x_op)), _bits(read(fr.x_op)))
 
 
 @pytest.mark.parametrize("twice_j", PARITY_SPINS)
 def test_operators_read_on_the_averaged_path_are_parity_even(twice_j):
-    # the half read is exact only for an even operator (spin 1/2's ZXZ is zero)
+    # the half read is exact only for an even operator (spin 1/2's ZXZ is
+    # zero): a law may say its reads are even only if each one is, and the
+    # law that does not say so reads an odd one, the node Z
     fr = two_mode_frame(twice_j, math.pi / 2e-3)
     for name, op in _averaged_path_reads(fr).items():
         assert np.abs(op - op[::-1, ::-1]).max() <= 1e-15 * np.abs(op).max(), name
+    for kind in set(SCHEME_KINDS) - set(EVEN_KINDS):
+        odd = [op for op in _path_reads(fr, kind).values()
+               if np.abs(op - op[::-1, ::-1]).max() > 1e-15 * np.abs(op).max()]
+        assert odd, kind
 
 
 def test_member_stacked_frame_pads_each_spin():

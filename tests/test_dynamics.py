@@ -865,6 +865,22 @@ def test_averaged_steps_read_the_parity_half(kw, halves, monkeypatch):
         assert not half
 
 
+def test_averaged_run_of_a_law_with_an_odd_read_is_read_in_full(monkeypatch):
+    # simple-conditioned also reads the node Z, odd under the parity, which
+    # a half read gets wrong: its averaged run reads in full, bit for bit a
+    # run whose every read is full, and as <Z> of an even state is zero to
+    # rounding, its gain is the simple law's
+    config = SimConfig(mode="two", twice_j=3, scheme="simple-conditioned", v_max=0.5, stride=10)
+    got = run_scenario(config)
+    simple = run_scenario(SimConfig(mode="two", twice_j=3, scheme="simple", v_max=0.5, stride=10))
+    monkeypatch.setattr(dynamics, "Moments", lambda rho, even=False: algebra.Moments(rho))
+    full = run_scenario(config)
+    assert got.ok and got.n_rows == 51
+    for name in PLAIN_COLUMNS:
+        assert np.array_equal(got.column(name), full.column(name)), name
+        assert np.allclose(got.column(name), simple.column(name), rtol=1e-10, atol=1e-14), name
+
+
 # ------------------------------------------------------------ member stacks
 
 
