@@ -152,14 +152,15 @@ def two_mode_coherent_state(twice_j: int) -> np.ndarray:
 
 class FrameAt:
     """The frame's operators at one phase (c, s) = (cos w v, sin w v):
-    the linear z, y and k = -iY, and the quadratic z2, y2, zy = ZY + YZ,
-    zxz = ZXZ and s = -i(ZY + YZ). Each is built on first read by one
-    blend rule over the frame's component products, named _<op>_c, _<op>_s
-    and _<op>_cs (_zc, _zs, _yc, _ys for Z and Y): a linear operator is
-    c P_c + s P_s, a quadratic one c^2 P_c + s^2 P_s + c s P_cs, summed in
-    that order over the nonzero weights. A lone weight of 1 returns the
-    stored product as built, so a read on a frame node builds no cross
-    term and hands every reader the same array."""
+    the linear z, y and k = -iY, the quadratic z2, y2, zy = ZY + YZ,
+    zxz = ZXZ and s = -i(ZY + YZ), and sx = S + X. Each is built on first
+    read, sx as s + X and the others by one blend rule over the frame's
+    component products, named _<op>_c, _<op>_s and _<op>_cs (_zc, _zs,
+    _yc, _ys for Z and Y): a linear operator is c P_c + s P_s, a quadratic
+    one c^2 P_c + s^2 P_s + c s P_cs, summed in that order over the nonzero
+    weights. A lone weight of 1 returns the stored product as built, so a
+    read on a frame node builds no cross term and hands every reader the
+    same array."""
 
     def __init__(self, frame, phase):
         self.frame, self.phase = frame, phase
@@ -183,6 +184,8 @@ class FrameAt:
     zy = cached_property(lambda self: self._blend("_zy_c", "_zy_s", "_zy_cs"))
     zxz = cached_property(lambda self: self._blend("_zxz_c", "_zxz_s", "_zxz_cs"))
     s = cached_property(lambda self: self._blend("_s_c", "_s_s", "_s_cs"))
+    # S + X, the gain's term of the feedback rate
+    sx = cached_property(lambda self: self.s + self.frame.x_op)
 
 
 class MeasurementFrame:

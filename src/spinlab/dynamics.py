@@ -175,11 +175,13 @@ def feedback_rate(frame: MeasurementFrame, rho, v: float, lam):
     if isinstance(lam, np.ndarray):
         lam = lam[:, None, None]
     kick = lam * at.k
-    q = lam * (at.s + frame.x_op) - (at.z2 + (lam * lam) * at.y2)  # 2Q
+    q, t = lam * at.sx, (lam * lam) * at.y2
+    t += at.z2
+    q -= t  # 2Q
     # np.dot: the same BLAS product as @ on one state, with less dispatch
     dot = np.dot if rho.ndim == 2 else np.matmul
     w = dot(q, rho)
-    w += dot(dot(at.z + kick, rho), at.z - kick)
+    w += dot(dot(at.z + kick, rho), np.subtract(at.z, kick, out=kick))
     w += dagger(w)
     w *= 0.5
     return w
@@ -393,6 +395,7 @@ def _kept(lam, keep):
 def integrate(
     rho0, spec: EvolutionSpec, controller, step, metrics, columns, metas: list[dict],
     *, averaged: bool = False, window=None, zeta_floor: float | None = None, real_step: bool = False,
+    conditioned: bool = False,
 ) -> list[TrajectoryRecord]:
     """The step loop every run shares, averaged or conditioned.
 
@@ -401,10 +404,11 @@ def integrate(
     record per run, its meta extended by that run's entry of metas. Each
     of the n_steps + 1 iterations checks every live state's trace, makes
     one gain call for the whole live stack at v (at the node times
-    (v, v + delta_v) when averaged is set), records the named columns of
-    metrics(read, frame, v=, lam=), whose rows come in METRIC_COLUMNS
-    order, every record_stride steps into one table preallocated for the
-    batch, audits positivity every AUDIT_STRIDE steps, and then calls
+    (v, v + delta_v) when averaged is set), records the row
+    metrics(read, frame, v=, lam=, conditioned=, columns=) of the named
+    columns, in the order named, every record_stride steps into one table
+    preallocated for the batch, audits positivity every AUDIT_STRIDE
+    steps, and then calls
     step(rho, frame, v, lam, live, read) for the next stack and each
     state's trace before renormalisation (None if the step does not
     renormalise). read is the algebra.Moments of the live stack that the
@@ -414,7 +418,9 @@ def integrate(
     among the runs (a slice until one ends), so a step can keep per-run
     state such as noise. A clean run yields n_steps // record_stride + 1
     rows, and the final time appears whenever the stride divides the step
-    count.
+    count. columns name v and any other columns of a plain row
+    (PLAIN_COLUMNS), or with conditioned set of a conditioned one
+    (METRIC_COLUMNS), each once, else ValueError before the first step.
 
     Each run keeps its own status through a mask over the stack: a run
     that fails a check leaves the stack with its status, stops stepping
@@ -460,6 +466,14 @@ def integrate(
     """
     frame, dv = spec.frame, spec.delta_v
     n_steps, stride = spec.n_steps, spec.record_stride
+    columns, offered = tuple(columns), METRIC_COLUMNS if conditioned else PLAIN_COLUMNS
+    if "v" not in columns:
+        raise ValueError(f"columns {columns} lack 'v', which every record keeps")
+    for i, name in enumerate(columns):
+        if name not in offered:
+            raise ValueError(f"column {name!r} is not in a {'conditioned' if conditioned else 'plain'} metrics row")
+        if name in columns[:i]:
+            raise ValueError(f"column {name!r} is named twice")
     if rho0.shape[-2:] != (frame.dim, frame.dim):
         raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
     if real_step and not rho0.imag.any():
@@ -468,13 +482,10 @@ def integrate(
     rho = np.empty((size, frame.dim, frame.dim), dtype=rho0.dtype)
     rho[:] = rho0
     controller = controller or FeedbackScheme("none")
-    # the table holds only the named columns of each metrics row, read as
-    # a view of the row when they are a run of its columns
+    # the table holds the named columns; each row also has zeta for the checks
     table = np.empty((size, len(columns), n_steps // stride + 1))
-    picked = [METRIC_COLUMNS.index(name) for name in columns]
-    if picked == list(range(picked[0], picked[0] + len(picked))):
-        picked = slice(picked[0], picked[0] + len(picked))
-    zeta_at = METRIC_COLUMNS.index("zeta")
+    asked = columns if "zeta" in columns else (*columns, "zeta")
+    zeta_at = asked.index("zeta")
     shared = {
         "mode": frame.mode,
         "generator": spec.generator,
@@ -554,8 +565,8 @@ def integrate(
                 log.warning("gain clamped to %.3g at v=%.4f", np.broadcast_to(lam, live.shape)[k], v)
             clamp_events += hits
         if n % stride == 0:
-            values = metrics(read, frame, v=v, lam=lam).values
-            table[members, :, n_rows] = values[picked].T
+            values = metrics(read, frame, v=v, lam=lam, conditioned=conditioned, columns=asked).values
+            table[members, :, n_rows] = values[: len(columns)].T
             zeta = values[zeta_at].tolist()
             if not all(map(math.isfinite, zeta)):
                 keep = end({

@@ -204,7 +204,7 @@ class FeedbackScheme:
             if not math.isfinite(lam) or abs(lam) > self.clamp:
                 return math.copysign(self.clamp, lam), True
             return lam, False
-        if np.abs(lam).max() <= self.clamp:  # NaN fails this too
+        if all(abs(x) <= self.clamp for x in lam.tolist()):  # NaN fails this too
             return lam, False
         flags = ~(np.abs(lam) <= self.clamp)
         return np.where(flags, np.copysign(self.clamp, lam), lam), flags.view(ClampFlags)

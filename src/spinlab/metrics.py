@@ -23,34 +23,35 @@ SWEEP_COLUMNS = ("v", "zeta", "xi2")
 STACK_MAX_DIM = 21
 
 
-def _column(i: int, kind):
+def _column(name: str, kind):
     def read(row):
-        if i >= len(row.values):
+        if name not in row.columns:
             return None
-        x = row.values[i]
+        x = row.values[row.columns.index(name)]
         return x.astype(kind) if isinstance(x, np.ndarray) else kind(x)
 
-    return property(read, doc=f"column {METRIC_COLUMNS[i]!r}; None if the row has no such column")
+    return property(read, doc=f"column {name!r}; None if the row has no such column")
 
 
 class MetricsRow:
     """The metrics of one state, or of each member of a stack.
 
-    values holds them as floats, values[i] being column METRIC_COLUMNS[i]:
-    shape (8,) or (10,) for one state, (8, B) or (10, B) for a stack, the
-    last two columns only for conditioned rows. A step loop copies values
-    straight into its table. Each column also reads as an attribute: a
-    float (bool for entangled) for one state, an array for a stack.
+    values holds the named columns as floats, values[i] being column
+    columns[i], in the order compute_metrics was asked for them: shape
+    (len(columns),) for one state, (len(columns), B) for a stack. A step
+    loop copies values straight into its table. Each column also reads as
+    an attribute: a float (bool for entangled) for one state, an array
+    for a stack, None for a column the row lacks.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "columns")
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+    def __init__(self, values: np.ndarray, columns: tuple):
+        self.values, self.columns = values, columns
 
-    v, zeta, chi, purity, lam, xi2 = (_column(i, float) for i in range(6))
-    entangled = _column(6, bool)
-    mz2, zc_mean, yc_mean = (_column(i, float) for i in range(7, 10))
+    v, zeta, chi, purity, lam, xi2 = (_column(name, float) for name in METRIC_COLUMNS[:6])
+    entangled = _column("entangled", bool)
+    mz2, zc_mean, yc_mean = (_column(name, float) for name in METRIC_COLUMNS[7:])
 
 
 def squeezing_xi2(zeta, chi):
@@ -59,49 +60,74 @@ def squeezing_xi2(zeta, chi):
 
     zeta is a variance ratio, nonnegative in exact arithmetic; once the
     squeezing exhausts the integrator's resolution it can round below
-    zero, so nonpositive values get the same NaN treatment.
+    zero, so nonpositive values get the same NaN treatment. On arrays
+    those members divide by NaN, which gives NaN without a warning.
     """
     if not isinstance(zeta, np.ndarray):
         if not (chi > CHI_FLOOR) or not (zeta > 0.0):
             return math.nan
         return zeta / (chi * chi)
-    out = np.full(np.shape(zeta), math.nan)
-    np.divide(zeta, chi * chi, out=out, where=(chi > CHI_FLOOR) & (zeta > 0.0))
-    return out
+    return zeta / np.where((chi > CHI_FLOOR) & (zeta > 0.0), chi * chi, math.nan)
 
 
-def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=False) -> MetricsRow:
+def compute_metrics(rho, frame: MeasurementFrame, v=0.0, lam=0.0, conditioned=False, columns=None) -> MetricsRow:
     """Score a state, or each member of a (B, n, n) stack, against the
     frame's reduced variance and polarisation; lam may be one gain or one
     per member. rho may also be the Moments of either, whose reads are
     shared with the other readers of the step.
 
+    The row holds the named columns in the order named, by default all of
+    a plain row (PLAIN_COLUMNS) or of a conditioned one (METRIC_COLUMNS);
+    any other name raises ValueError. Only those columns and the moments
+    they need are computed, each by its one formula, so a column has the
+    same bits whatever else the row holds.
+
     For conditioned states the variance is taken about the conditional
     means of the slow quadratures (the means carry no squeezing
     information; the record-driven state walks them randomly).
     """
+    if columns is None:
+        columns = METRIC_COLUMNS if conditioned else PLAIN_COLUMNS
+    need = set(columns)
+    if need & {"xi2", "entangled"}:
+        need |= {"zeta", "chi"}
     read = moments_of(rho)
     rho = read.rho
-    raw = read(frame.zeta_op)
-    chi = read(frame.x_op) / frame.chi_norm
-    means = (read(frame.zc_op), read(frame.yc_op)) if conditioned else ()
-    for w, mean in zip(frame.zeta_weights, means):
-        # float_power is C pow, as Python's float ** is; a square can
-        # round differently from it in the last bit
-        raw = raw - w * np.float_power(mean, 2.0)
-    zeta = raw / frame.zeta_norm
-    purity = np.add.reduce(rho.real**2 + rho.imag**2 if rho.dtype.kind == "c" else rho**2, axis=(-2, -1))
-    values = [v, zeta, chi, purity, lam, squeezing_xi2(zeta, chi), zeta < chi, read(frame.at(v).z2), *means]
+    got = {"v": v, "lam": lam}
+    if "chi" in need:
+        got["chi"] = read(frame.x_op) / frame.chi_norm
+    if conditioned and need & {"zeta", "zc_mean", "yc_mean"}:
+        got["zc_mean"], got["yc_mean"] = read(frame.zc_op), read(frame.yc_op)
+    if "zeta" in need:
+        raw = read(frame.zeta_op)
+        for w, name in zip(frame.zeta_weights, ("zc_mean", "yc_mean") if conditioned else ()):
+            # float_power is C pow, as Python's float ** is; a square can
+            # round differently from it in the last bit
+            raw = raw - w * np.float_power(got[name], 2.0)
+        got["zeta"] = raw / frame.zeta_norm
+    if "purity" in need:
+        got["purity"] = np.add.reduce(rho.real**2 + rho.imag**2 if rho.dtype.kind == "c" else rho**2, axis=(-2, -1))
+    if "xi2" in need:
+        got["xi2"] = squeezing_xi2(got["zeta"], got["chi"])
+    if "entangled" in need:
+        got["entangled"] = got["zeta"] < got["chi"]
+    if "mz2" in need:
+        got["mz2"] = read(frame.at(v).z2)
+    try:
+        values = [got[name] for name in columns]
+    except KeyError as err:
+        raise ValueError(f"a {'conditioned' if conditioned else 'plain'} row has no column {err.args[0]!r}") from None
     shape = (len(values),) + rho.shape[:-2]
-    if not isinstance(zeta, np.ndarray) and not isinstance(lam, np.ndarray):
+    if rho.size == frame.dim**2 and not isinstance(frame.chi_norm, np.ndarray) and not isinstance(lam, np.ndarray):
         # one state read with shared operators, so one number per column:
         # the row fills in one pass
-        values[3] = purity.item()
-        return MetricsRow(np.fromiter(values, float, len(values)).reshape(shape))
+        if "purity" in got:
+            values[columns.index("purity")] = got["purity"].item()
+        return MetricsRow(np.fromiter(values, float, len(values)).reshape(shape), columns)
     row = np.empty(shape)
     for i, x in enumerate(values):
         row[i] = x
-    return MetricsRow(row)
+    return MetricsRow(row, columns)
 
 
 def parabolic_min(x, y):

@@ -166,8 +166,8 @@ def trajectory_batch(
 
     metas = [{"conditioned": True, "seed": seed, "traj_index": i} for i in traj_indices]
     return integrate(
-        rho0, spec, controller, step, partial(compute_metrics, conditioned=True), METRIC_COLUMNS,
-        metas, window=TRACE_WINDOW, real_step=frame.mode == "single",
+        rho0, spec, controller, step, compute_metrics, METRIC_COLUMNS,
+        metas, window=TRACE_WINDOW, real_step=frame.mode == "single", conditioned=True,
     )
 
 

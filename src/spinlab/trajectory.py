@@ -15,12 +15,12 @@ class TrajectoryRecord:
     """One integrated run: recorded columns plus bookkeeping.
 
     columns holds the metrics columns the step loop was asked to record,
-    by name, in metrics.METRIC_COLUMNS order: a plain run (evolve's
-    default) records v, zeta, chi, purity, lam, xi2, entangled and mz2
-    (second moment of the instantaneous measured axis), a conditioned run
-    adds zc_mean and yc_mean, and a size sweep records only v, zeta and
-    xi2. Every record has v. An aborted run keeps the rows recorded
-    before the failure and reports where it stopped.
+    by name, in the order asked: a plain run (evolve's default,
+    metrics.PLAIN_COLUMNS) records v, zeta, chi, purity, lam, xi2,
+    entangled and mz2 (second moment of the instantaneous measured axis),
+    a conditioned run adds zc_mean and yc_mean, and a size sweep records
+    only v, zeta and xi2. Every record has v. An aborted run keeps the
+    rows recorded before the failure and reports where it stopped.
     """
 
     meta: dict

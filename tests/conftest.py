@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinlab.algebra import coherent_spin_state, two_mode_coherent_state
+from spinlab.algebra import Moments, coherent_spin_state, two_mode_coherent_state
 
 
 def random_density(dim: int, seed: int = 0) -> np.ndarray:
@@ -28,6 +28,20 @@ def random_pure(dim: int, rng) -> np.ndarray:
 def css_rho(mode: str, twice_j: int) -> np.ndarray:
     vec = two_mode_coherent_state(twice_j) if mode == "two" else coherent_spin_state(twice_j)
     return np.outer(vec, vec.conj())
+
+
+class RecordedMoments(Moments):
+    """A full moment read that keeps every operator it is asked for."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self, rho):
+        super().__init__(rho)
+        self.ops = []
+
+    def __call__(self, op):
+        self.ops.append(op)
+        return super().__call__(op)
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ from spinlab.algebra import (
 from spinlab.feedback import SCHEME_KINDS, FeedbackScheme
 from spinlab.metrics import compute_metrics
 
+from conftest import RecordedMoments
+
 SPINS = (1, 2, 10, 20)  # twice_j: j = 1/2, 1, 5, 10
 
 
@@ -355,20 +357,6 @@ def test_per_member_operators_read_one_value_per_member(batch, dtype):
     assert read(ops) is read(ops)
 
 
-class _Recorded(Moments):
-    """A full moment read that keeps every operator it is asked for."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self, rho):
-        super().__init__(rho)
-        self.ops = []
-
-    def __call__(self, op):
-        self.ops.append(op)
-        return super().__call__(op)
-
-
 def _path_reads(fr, kind, dv=1e-3):
     """{name: operator} for every operator the gain law kind and the metrics
     row read on the period-averaged path, recorded as they read: the gain
@@ -378,7 +366,7 @@ def _path_reads(fr, kind, dv=1e-3):
     rho = np.outer(psi, psi.conj())
     ops = {}
     for node in range(4):
-        read = _Recorded(rho)
+        read = RecordedMoments(rho)
         FeedbackScheme(kind).gain(read, fr, (node * dv, (node + 1) * dv))
         compute_metrics(read, fr, v=node * dv)
         for op in read.ops:

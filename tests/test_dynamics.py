@@ -927,6 +927,22 @@ def test_integrate_records_only_the_named_columns():
         assert np.array_equal(some.column(name).view(np.uint64), full.column(name).view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "columns, named",
+    [(("v", "foo"), "foo"), (("v", "zc_mean"), "zc_mean"), (("chi",), "v"), ((), "v"), (("v", "zeta", "v"), "v")],
+    ids=["unknown", "conditioned-on-a-plain-run", "without-v", "empty", "repeated"],
+)
+def test_evolve_refuses_a_bad_column_choice_before_the_first_step(columns, named, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(dynamics, "compute_metrics", never)
+    monkeypatch.setattr(dynamics, "feedback_rate", never)
+    spec = EvolutionSpec(frame=single_mode_frame(2), delta_v=1e-3, v_max=0.05)
+    with pytest.raises(ValueError, match=f"column.*'{named}'"):
+        evolve(css_rho("single", 2), spec, FeedbackScheme("simple"), columns=columns)
+
+
 def test_evolve_of_a_stack_on_a_shared_frame_is_each_state_alone():
     spec = EvolutionSpec(frame=single_mode_frame(4), delta_v=1e-3, v_max=0.2)
     states = [css_rho("single", 4), _real_density(5, seed=3)]

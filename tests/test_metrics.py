@@ -1,5 +1,6 @@
 """Figures of merit: squeezing ratio, conditional variants, scheme sweeps."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,14 +8,16 @@ import numpy as np
 import pytest
 
 from spinlab import dynamics
-from spinlab.algebra import single_mode_frame, spin_matrices, stack_members, two_mode_frame
+from spinlab.algebra import Moments, single_mode_frame, spin_matrices, stack_members, two_mode_frame
 from spinlab.dynamics import EvolutionSpec, evolve
 from spinlab.feedback import FeedbackScheme
 from spinlab.harness import SimConfig
 from spinlab.metrics import (
     CHI_FLOOR,
+    METRIC_COLUMNS,
     PLAIN_COLUMNS,
     STACK_MAX_DIM,
+    SWEEP_COLUMNS,
     ZETA_RESOLUTION_STEPS,
     SweepPoint,
     _xi2_minimum,
@@ -24,7 +27,7 @@ from spinlab.metrics import (
     squeezing_xi2,
 )
 
-from conftest import css_rho, random_density, random_pure
+from conftest import RecordedMoments, css_rho, random_density, random_pure
 
 
 def test_css_rows_two_mode():
@@ -66,6 +69,18 @@ def test_xi2_sentinel_values():
     assert math.isnan(squeezing_xi2(0.0, 1.0))
     # a variance that rounded below zero is noise, not perfect squeezing
     assert math.isnan(squeezing_xi2(-1e-9, 1.0))
+
+
+def test_xi2_of_arrays_is_each_members_xi2():
+    # valid members keep the bits of zeta / (chi * chi); a chi at or below
+    # the floor, a zeta at or below zero and NaN in either give NaN
+    zeta = np.array([0.5, 0.3, 0.5, 0.5, 0.0, -0.0, -1e-9, math.nan, 0.4, math.inf, 0.2])
+    chi = np.array([1.0, 0.7, CHI_FLOOR, CHI_FLOOR / 2, 1.0, 1.0, 1.0, 1.0, math.nan, 0.9, -0.5])
+    got = squeezing_xi2(zeta, chi)
+    want = np.array([squeezing_xi2(float(z), float(c)) for z, c in zip(zeta, chi)])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got[:2].view(np.uint64), (zeta[:2] / (chi[:2] * chi[:2])).view(np.uint64))
+    assert np.isnan(got[2:9]).all() and got[9] == math.inf and math.isnan(got[10])
 
 
 def test_entangled_flag_on_frontier_state():
@@ -251,3 +266,90 @@ def test_stacked_metrics_equal_per_state_rows(mode, conditioned):
         one = compute_metrics(stack[k], frame, v=0.3, lam=lam[k], conditioned=conditioned)
         assert np.array_equal(rows.values[:, k].view(np.uint64), one.values.view(np.uint64))
     assert math.isnan(rows.xi2[-1]) and not rows.entangled[-1]
+
+
+def _scored_members(mode, twice_j, frame) -> list:
+    """States of frame's dimension, one for each branch of the xi2 rule: a
+    polarised state, a random one, chi = 0 (below CHI_FLOOR), zeta < 0
+    (not a state: the coherent state less a multiple of the identity, which
+    moves zeta and not chi) and NaN entries (NaN zeta)."""
+    css, n = css_rho(mode, twice_j), frame.dim
+    below = css - 2.0 * (np.vdot(css, frame.zeta_op).real / np.trace(frame.zeta_op)) * np.eye(n)
+    return [css, random_density(n, seed=5), np.eye(n) / n, below, np.full((n, n), math.nan)]
+
+
+def _subset_cases():
+    """(rho or a Moments factory, frame, v, lam, conditioned) per case."""
+    single, two = single_mode_frame(4), two_mode_frame(2, omega=10.0)
+    spins = (2, 4, 6)
+    stacked = single_mode_frame(spins)
+    padded = stack_members([css_rho("single", spins[0]), np.eye(5) / 5, css_rho("single", spins[2])])
+    node = two_mode_frame(2, omega=math.pi / 2e-3)
+    even = css_rho("two", 2) + random_density(9, seed=2)
+    even = 0.5 * (even + even[::-1, ::-1])
+    single_stack = np.stack(_scored_members("single", 4, single))
+    two_stack = np.stack(_scored_members("two", 2, two))
+    lam = np.linspace(-1.0, 2.0, 5)
+    return {
+        "one-state": (lambda: css_rho("single", 4), single, 0.0, 0.7, False),
+        "stack-of-one": (lambda: Moments(single_stack[:1]), single, 0.0, 0.7, False),
+        "shared-stack": (lambda: single_stack, single, 0.0, lam, False),
+        "member-stack": (lambda: padded, stacked, 0.0, np.array([0.3, -0.2, 1.1]), False),
+        "parity-half": (lambda: Moments(even[None], even=True), node, 2e-3, 0.4, False),
+        "two-mode-stack": (lambda: two_stack, two, 0.3, lam, False),
+        "conditioned-single": (lambda: single_stack, single, 0.0, lam, True),
+        "conditioned-two": (lambda: two_stack, two, 0.3, lam, True),
+    }
+
+
+@pytest.mark.parametrize("case", list(_subset_cases()))
+def test_every_column_subset_equals_the_full_rows_columns(case):
+    # a column has one formula, so a row of any columns, in any order,
+    # holds the full row's bits for each; each row reads a fresh state
+    state, frame, v, lam, conditioned = _subset_cases()[case]
+    full = compute_metrics(state(), frame, v=v, lam=lam, conditioned=conditioned)
+    names = full.columns
+    assert names == (METRIC_COLUMNS if conditioned else PLAIN_COLUMNS)
+    shuffled = tuple(np.random.default_rng(3).permutation(names))
+    choices = [SWEEP_COLUMNS, shuffled] + [c for k in range(1, len(names) + 1) for c in itertools.combinations(names, k)]
+    for columns in choices:
+        row = compute_metrics(state(), frame, v=v, lam=lam, conditioned=conditioned, columns=columns)
+        assert row.columns == columns and row.values.shape == (len(columns),) + full.values.shape[1:]
+        for name, got in zip(columns, row.values):
+            want = full.values[names.index(name)]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (columns, name)
+    if case in ("shared-stack", "two-mode-stack"):
+        # the xi2 rule's branches: valid, valid, chi below the floor, zeta < 0, NaN zeta
+        assert np.isfinite(full.xi2[0]) and np.isnan(full.xi2[2:]).all()
+        assert full.chi[3] > CHI_FLOOR and full.zeta[3] < 0 and np.isnan(full.zeta[4])
+
+
+def test_a_row_refuses_a_column_it_does_not_offer():
+    frame = single_mode_frame(2)
+    for columns, name in ((("v", "foo"), "foo"), (("zc_mean",), "zc_mean")):
+        with pytest.raises(ValueError, match=repr(name)):
+            compute_metrics(css_rho("single", 2), frame, columns=columns)
+
+
+class _Unscored(np.ndarray):
+    """A stack whose square, and the order of the moments read from it, fail:
+    the purity and entangled columns are their only users in a row."""
+
+    def __pow__(self, other):
+        raise AssertionError("purity computed")
+
+    def __lt__(self, other):
+        raise AssertionError("entangled computed")
+
+
+def test_a_sweep_row_computes_only_zeta_and_xi2():
+    # besides the gain's reads a sweep row reads zeta_op and X alone, so it
+    # builds no mz2, and it squares no state and compares no moments, so
+    # it builds no purity or entangled value
+    frame = single_mode_frame((2, 4, 6))
+    read = RecordedMoments(stack_members([css_rho("single", tj) for tj in (2, 4, 6)]).view(_Unscored))
+    lam, _ = FeedbackScheme("simple").gain(read, frame, 0.0)
+    gain_reads = len(read.ops)
+    row = compute_metrics(read, frame, v=0.0, lam=lam, columns=SWEEP_COLUMNS)
+    assert {id(op) for op in read.ops[gain_reads:]} == {id(frame.zeta_op), id(frame.x_op)}
+    assert row.columns == SWEEP_COLUMNS and row.purity is None and row.mz2 is None and row.entangled is None
