@@ -279,7 +279,7 @@ def _scored_members(mode, twice_j, frame) -> list:
 
 
 def _subset_cases():
-    """(rho or a Moments factory, frame, v, lam, conditioned) per case."""
+    """{case: (a factory of the state or its Moments, frame, v, lam, conditioned)}."""
     single, two = single_mode_frame(4), two_mode_frame(2, omega=10.0)
     spins = (2, 4, 6)
     stacked = single_mode_frame(spins)
