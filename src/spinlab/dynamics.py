@@ -45,11 +45,11 @@ Dtype: in the J_z basis J_x, J_z and the +x coherent state are real and
 J_y = iK with K real. So the averaged two-mode rate, the static
 single-mode rate, the single-mode conditioned step and countertwisting
 (H imaginary, exp(-i H delta_v) real orthogonal) keep a real state real.
-Their callers tell integrate so, and integrate steps them on a float64
-stack when rho0's imaginary part is exactly zero: half the memory, real
-BLAS in every product, expectation and audit. Two-mode conditioned runs
-(measuring J_y^- is an imaginary back-action) and finite-omega Euler
-runs mix real and imaginary operators and stay complex.
+integrate tells them from its spec (_as_stepped) and steps them on a
+float64 stack when rho0's imaginary part is exactly zero: half the
+memory, real BLAS in every product, expectation and audit. Two-mode
+conditioned runs (measuring J_y^- is an imaginary back-action) and
+finite-omega Euler runs mix real and imaginary operators and stay complex.
 
 The Euler rate, feedback_rate, is W + W^dag with
 W = Q rho + (r rho) r^dag / 2, r = Z + L K and Q = (L S - r^dag r)/2:
@@ -101,6 +101,8 @@ from .trajectory import STATUS_OK, RecordStack, TrajectoryRecord
 log = logging.getLogger(__name__)
 
 TRACE_TOL = 1e-6
+# the raw traces inside which a conditioned step renormalises
+TRACE_WINDOW = (0.5, 2.0)
 # the feedback steps do not preserve positivity exactly: forward Euler
 # leaves negative eigenvalue dust of order delta_v, the averaged
 # second-order step of order delta_v^2; warn only well above that scale,
@@ -187,17 +189,16 @@ def feedback_rate(frame: MeasurementFrame, rho, v: float, lam):
     return w
 
 
-def _per_sample_products(k, x, y, p, q, blocks=None):
-    """Write P = (K (x) 1) x into p, then Q = (1 (x) K) y into q (q may be
-    x), for a per-sample real factor K (d x d) and C-contiguous n x n
-    arrays of one dtype, n = d^2; with blocks given, only the top blocks of
-    the d row blocks of each, from all of x and the top of y. The |m1, m2>
-    index splits as (m1, m2), so K (x) 1 acts on x as a (d, d n) array and
-    1 (x) K on each of y's d row blocks, both on the float view: real K
-    acts on the real and any imaginary parts alike. Costs O(n^2 d) and
-    builds no n x n operator."""
+def _per_sample_products(k, x, y, p, q, blocks):
+    """Write the top blocks of the d row blocks of P = (K (x) 1) x into p,
+    then those of Q = (1 (x) K) y into q (q may be x), from all of x and
+    the top of y, for a per-sample real factor K (d x d) and C-contiguous
+    n x n arrays of one dtype, n = d^2. The |m1, m2> index splits as
+    (m1, m2), so K (x) 1 acts on x as a (d, d n) array and 1 (x) K on each
+    of y's d row blocks, both on the float view: real K acts on the real
+    and any imaginary parts alike. Costs O(n^2 d) and builds no n x n
+    operator."""
     d = k.shape[0]
-    blocks = d if blocks is None else blocks
     rows = blocks * d
     np.matmul(k[:blocks], x.view(float).reshape(d, -1), out=p[:rows].view(float).reshape(blocks, -1))
     np.matmul(k, y[:rows].view(float).reshape(blocks, d, -1), out=q[:rows].view(float).reshape(blocks, d, -1))
@@ -369,6 +370,15 @@ def _quarter_period_steps(spec: EvolutionSpec) -> bool:
     )
 
 
+def _as_stepped(rho0, spec: EvolutionSpec, averaged: bool):
+    """rho0 as the stack is stepped: its real part when it is exactly real
+    and spec's step keeps a real state real (the single-mode, averaged and
+    countertwisting steps; see the module docstring), else rho0."""
+    if (spec.frame.mode == "single" or averaged or spec.generator != "feedback") and not rho0.imag.any():
+        return rho0.real
+    return rho0
+
+
 def countertwist_propagator(hamiltonian, delta_v: float):
     """exp(-i H delta_v) for a purely imaginary Hermitian H = iA, from the
     eigenvectors of H: the real orthogonal exp(A delta_v), returned as
@@ -394,33 +404,35 @@ def _kept(lam, keep):
 
 def integrate(
     rho0, spec: EvolutionSpec, controller, step, metrics, columns, metas: list[dict],
-    *, averaged: bool = False, window=None, zeta_floor: float | None = None, real_step: bool = False,
-    conditioned: bool = False,
+    *, conditioned: bool = False, zeta_floor: float | None = None,
 ) -> list[TrajectoryRecord]:
     """The step loop every run shares, averaged or conditioned.
 
     It integrates len(metas) runs as one (B, n, n) stack, from rho0, one
     n x n state for all of them or a stack of one each, and returns one
-    record per run, its meta extended by that run's entry of metas. Each
-    of the n_steps + 1 iterations checks every live state's trace, makes
-    one gain call for the whole live stack at v (at the node times
-    (v, v + delta_v) when averaged is set), records the row
+    record per run, its meta the spec's, the scheme and conditioned,
+    extended by that run's entry of metas. A run that is not conditioned
+    and steps a quarter period at a time (_quarter_period_steps) is
+    averaged: its step is the period-averaged two-mode step of one state.
+    Each of the n_steps + 1 iterations checks every live state's trace,
+    makes one gain call for the whole live stack at v (at the node times
+    (v, v + delta_v) when averaged), records the row
     metrics(read, frame, v=, lam=, conditioned=, columns=) of the named
     columns, in the order named, every record_stride steps into one table
     preallocated for the batch, audits positivity every AUDIT_STRIDE
-    steps, and then calls
-    step(rho, frame, v, lam, live, read) for the next stack and each
-    state's trace before renormalisation (None if the step does not
-    renormalise). read is the algebra.Moments of the live stack that the
-    gain call, the metrics row and the step share, so each expectation is
-    computed once per step. lam is what the controller returned: one gain
-    per member, or one for all of them. live indexes the stack's members
-    among the runs (a slice until one ends), so a step can keep per-run
-    state such as noise. A clean run yields n_steps // record_stride + 1
-    rows, and the final time appears whenever the stride divides the step
-    count. columns name v and any other columns of a plain row
-    (PLAIN_COLUMNS), or with conditioned set of a conditioned one
-    (METRIC_COLUMNS), each once, else ValueError before the first step.
+    steps, and then calls step(rho, frame, v, lam, live, read) for the
+    next stack and each state's trace before renormalisation (None if the
+    step does not renormalise). read is the algebra.Moments of the live
+    stack that the gain call, the metrics row and the step share, so each
+    expectation is computed once per step. lam is what the controller
+    returned: one gain per member, or one for all of them. live indexes
+    the stack's members among the runs (a slice until one ends), so a
+    step can keep per-run state such as noise. A clean run yields
+    n_steps // record_stride + 1 rows, and the final time appears
+    whenever the stride divides the step count. columns name v and any
+    other columns of a plain row (PLAIN_COLUMNS), or with conditioned set
+    of a conditioned one (METRIC_COLUMNS), each once, else ValueError
+    before the first step.
 
     Each run keeps its own status through a mask over the stack: a run
     that fails a check leaves the stack with its status, stops stepping
@@ -435,34 +447,27 @@ def integrate(
     reads make, so it agrees with its spin run alone to rounding: over
     2j in {2, 4, 10, 14} padded to 2j = 20, with the simple and optimal
     laws up to v = 20, zeta moved by at most 7.8e-14 relative and the
-    sweep's xi2_min by at most 3.1e-15 relative. trajectory_run is a B = 1
-    caller, evolve hands the loop one state or a stack (min_squeezing_sweep
-    hands it a sweep's stacked spins), and run_trajectories hands it whole
-    batches.
+    sweep's xi2_min by at most 3.1e-15 relative.
 
-    Without a window the steps keep the trace: a state whose trace is
+    An unconditioned run's steps keep the trace: a state whose trace is
     off by more than TRACE_TOL ends its run, and max_trace_drift is the
-    largest |trace - 1| of a state. With a (low, high) window the steps
-    renormalise: a raw trace outside it ends the run, and max_trace_drift
-    is the largest raw |trace - 1|. A non-finite trace, moment or gain
-    also ends the run. Positivity is logged and recorded, never repaired.
-    With zeta_floor set, a run ends, status ok, at the first recorded row
-    whose zeta is not above it; that row is kept.
+    largest |trace - 1| of a state. A conditioned run's steps renormalise
+    inside TRACE_WINDOW: a raw trace outside it ends the run
+    "aborted-norm", and max_trace_drift is the largest raw |trace - 1|.
+    A non-finite trace, moment or gain also ends the run. Positivity is
+    logged and recorded, never repaired. With zeta_floor set, a run ends
+    at the first recorded row whose zeta is not above it, and that row is
+    kept: with status ok while zeta is positive, else "aborted-zeta",
+    since no positive state has zeta <= 0.
 
-    real_step says the step keeps a real state real. Then a rho0 whose
-    imaginary part is exactly zero is stepped as a float64 stack, its
-    real part; otherwise the stack takes rho0's dtype.
-
-    averaged says the step is the period-averaged two-mode step of one
-    state. Then the gain reads the node times, and every state past rho0 is
-    parity-even to the last bit (the first step starts from rho0's exact
-    parity projection). So from the first step on, when the controller's
-    reads_even says its law reads only parity-even operators, each read of
-    the step's Moments is a parity-half read (algebra.expect_real), half
-    the entries of a full read: exact to rounding, because the metrics
-    row's reads (J_x^+, zeta_op and the node Z^2) are parity-even too.
-    A law that reads an odd operator, or does not say, is read in full,
-    as is rho0, which is even only to rounding.
+    The stack is stepped as float64 when the step keeps a real state real
+    and rho0 is exactly real (_as_stepped). The averaged step keeps every
+    state past rho0 parity-even to the last bit, so from the first step
+    on, when the controller's reads_even says its law reads only
+    parity-even operators, each read of the step's Moments is a
+    parity-half read (algebra.expect_real), exact to rounding because the
+    metrics row's reads are even too (see the module docstring); rho0 is
+    even only to rounding and read in full.
     """
     frame, dv = spec.frame, spec.delta_v
     n_steps, stride = spec.n_steps, spec.record_stride
@@ -476,8 +481,8 @@ def integrate(
             raise ValueError(f"column {name!r} is named twice")
     if rho0.shape[-2:] != (frame.dim, frame.dim):
         raise ValueError(f"state dimension {rho0.shape} does not match frame dimension {frame.dim}")
-    if real_step and not rho0.imag.any():
-        rho0 = rho0.real
+    averaged = not conditioned and _quarter_period_steps(spec)
+    rho0 = _as_stepped(rho0, spec, averaged)
     size = len(metas)
     rho = np.empty((size, frame.dim, frame.dim), dtype=rho0.dtype)
     rho[:] = rho0
@@ -493,6 +498,7 @@ def integrate(
         "v_max": spec.v_max,
         "omega": frame.omega,
         "scheme": controller.kind,
+        "conditioned": conditioned,
     }
     records = [None] * size
     # the runs still stepping, and their diagnostics, in stack order; the
@@ -539,7 +545,7 @@ def integrate(
         v = n * dv
         trace = rho.trace(axis1=1, axis2=2).real.tolist()
         drift = [abs(x - 1.0) for x in trace]
-        if window is None:
+        if not conditioned:
             max_drift = list(map(max, max_drift, drift))
         if not all(d <= TRACE_TOL for d in drift):  # NaN fails this too
             end({
@@ -578,7 +584,10 @@ def integrate(
                     break
             n_rows += 1
             if zeta_floor is not None and not all(z > zeta_floor for z in zeta):
-                lam = _kept(lam, end({k: (STATUS_OK,) for k, z in enumerate(zeta) if not z > zeta_floor}))
+                lam = _kept(lam, end({
+                    k: (STATUS_OK,) if z > 0 else ("aborted-zeta", v, f"zeta {z:.3e} is not positive")
+                    for k, z in enumerate(zeta) if not z > zeta_floor
+                }))
                 if not live.size:
                     break
         if n % AUDIT_STRIDE == 0:
@@ -591,13 +600,13 @@ def integrate(
             break
         rho, raw = step(rho, frame, v, lam, members, read)
         even = halves
-        if window is not None:
+        if conditioned:
             raw = raw.tolist()
             max_drift = list(map(max, max_drift, [abs(x - 1.0) for x in raw]))
-            if not all(window[0] < x < window[1] for x in raw):
+            if not all(TRACE_WINDOW[0] < x < TRACE_WINDOW[1] for x in raw):
                 end({
                     k: ("aborted-norm", v + dv, f"trace {x:.3e} outside renormalisation window")
-                    for k, x in enumerate(raw) if not window[0] < x < window[1]
+                    for k, x in enumerate(raw) if not TRACE_WINDOW[0] < x < TRACE_WINDOW[1]
                 })
                 if not live.size:
                     break
@@ -621,12 +630,13 @@ def evolve(
     rho0 is one state, and evolve returns its run's record, or a
     (B, n, n) stack, one state per member of a member-stacked frame or B
     states on a shared one, and evolve returns a RecordStack of their
-    records in stack order. The period-averaged two-mode step keeps
-    per-run state (its scratch and last rate), so it takes one state, and
-    steps half its rows, so a parity-even one (see the module docstring);
-    it raises ValueError for any other. One
-    state is stepped as a 2-D matrix, whose products dispatch faster than
-    a stack of one."""
+    records in stack order. A spec that steps a quarter period at a time
+    takes the period-averaged two-mode step, as integrate reads the same
+    spec; that step keeps per-run state (its scratch and last rate), so it
+    takes one state, and steps half its rows, so a parity-even one (see
+    the module docstring); it raises ValueError for any other. One state
+    is stepped as a 2-D matrix, whose products dispatch faster than a
+    stack of one."""
     stacked = rho0.ndim == 3
     # every step keeps a Hermitian state Hermitian to the last bit, so
     # Hermiticity is imposed once, and only on a start that lacks it: a
@@ -686,10 +696,6 @@ def evolve(
         lam = float(lam[0] if isinstance(lam, np.ndarray) else lam)
         return advance(rho[0], frame, v, lam, live)[None], None
 
-    size = len(rho0) if stacked else 1
-    records = integrate(
-        rho0, spec, controller, step, compute_metrics, columns, [{"conditioned": False}] * size,
-        averaged=averaged, zeta_floor=zeta_floor,
-        real_step=averaged or spec.frame.mode == "single" or spec.generator != "feedback",
-    )
+    metas = [{}] * (len(rho0) if stacked else 1)
+    records = integrate(rho0, spec, controller, step, compute_metrics, columns, metas, zeta_floor=zeta_floor)
     return RecordStack(records) if stacked else records[0]

@@ -147,13 +147,6 @@ def _reasons(failed, message: str, *values) -> dict:
     return {int(k): message.format(*(c[k] for c in columns)) for k in np.flatnonzero(failed)}
 
 
-def locus_slope(lam: float, moments) -> float:
-    """d(zeta)/d(chi) along the deterministic flow, from the same moment
-    block the optimal law uses: (lam^2 d - lam e) / (lam g - f (1 + lam^2))."""
-    d, e, f, g = moments
-    return (lam * lam * d - lam * e) / (lam * g - f * (1.0 + lam * lam))
-
-
 @dataclass(frozen=True)
 class FeedbackScheme:
     """A named gain law plus the safety clamp applied to its output."""

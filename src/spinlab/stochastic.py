@@ -30,8 +30,9 @@ positivity audit and per-trajectory abort statuses; every member's
 numbers are bit for bit those of the trajectory run alone. Batches hold
 up to BATCH_ELEMENTS matrix elements, so a spin-1 ensemble is one batch
 per worker. On the static single-mode frame Z, K and Y^2 are real, so
-a real rho0 is stepped as a float64 stack; a two-mode frame measures
-J_y^-, an imaginary back-action, so its trajectories stay complex.
+integrate steps a real rho0 as a float64 stack; a two-mode frame
+measures J_y^-, an imaginary back-action, so its trajectories stay
+complex.
 fan_out is the package's one process fan-out; ensembles,
 bundled curve sets and sweeps all go through it.
 """
@@ -45,12 +46,11 @@ from functools import partial
 import numpy as np
 
 from .algebra import MeasurementFrame, dagger, moments_of
-from .dynamics import EvolutionSpec, integrate
+from .dynamics import TRACE_WINDOW, EvolutionSpec, integrate
 from .feedback import FeedbackScheme
 from .metrics import METRIC_COLUMNS, compute_metrics
 from .trajectory import EnsembleRecord, TrajectoryRecord
 
-TRACE_WINDOW = (0.5, 2.0)
 # steps of noise each trajectory draws at a time
 NOISE_BLOCK = 512
 # matrix elements in one stack of trajectories: about 1 MiB of complex
@@ -142,13 +142,13 @@ def trajectory_batch(
     The recorded squeezing column is mean-subtracted (genuine
     conditional variance); the raw means of the two measured components
     ride along so the unconditioned second moment can be rebuilt. Each
-    step renormalises the trace, so the record's max_trace_drift is the
-    largest |trace - 1| a step left before renormalisation, and a trace
-    outside TRACE_WINDOW ends the run "aborted-norm".
+    step renormalises a trace inside TRACE_WINDOW, and integrate, told the
+    run is conditioned, checks it (see there for the statuses and
+    max_trace_drift) and steps a single-mode frame's real rho0 as float64.
     """
     if spec.generator != "feedback":
         raise ValueError("conditioned runs support only the feedback generator")
-    frame, dv = spec.frame, spec.delta_v
+    dv = spec.delta_v
     streams = [WienerStream(seed, i) for i in traj_indices]
     runs = np.arange(len(streams))
     noise = np.empty((len(streams), NOISE_BLOCK))
@@ -164,11 +164,8 @@ def trajectory_batch(
         rho, _, trace = conditioned_step(read, frame, v, lam, dv, noise[live, col])
         return rho, trace
 
-    metas = [{"conditioned": True, "seed": seed, "traj_index": i} for i in traj_indices]
-    return integrate(
-        rho0, spec, controller, step, compute_metrics, METRIC_COLUMNS,
-        metas, window=TRACE_WINDOW, real_step=frame.mode == "single", conditioned=True,
-    )
+    metas = [{"seed": seed, "traj_index": i} for i in traj_indices]
+    return integrate(rho0, spec, controller, step, compute_metrics, METRIC_COLUMNS, metas, conditioned=True)
 
 
 def trajectory_run(

@@ -728,12 +728,12 @@ def _watch_stacks(monkeypatch, dtype=None):
             seen.add(rho.dtype)
             return step(rho, *rest)
 
-        if dtype is None:
-            return loop(rho0, spec, controller, spied, *args, **kwargs)
-        return loop(rho0.astype(dtype), spec, controller, spied, *args, **{**kwargs, "real_step": False})
+        return loop(rho0 if dtype is None else rho0.astype(dtype), spec, controller, spied, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "integrate", watched)
     monkeypatch.setattr(stochastic, "integrate", watched)
+    if dtype is not None:
+        monkeypatch.setattr(dynamics, "_as_stepped", lambda rho0, spec, averaged: rho0)
     return seen
 
 

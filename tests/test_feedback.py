@@ -16,9 +16,16 @@ from spinlab.feedback import (
     lambda_simple,
     lambda_simple_conditioned,
     lambda_spin1,
-    locus_slope,
     moment_block,
 )
+
+
+def locus_slope(lam: float, moments) -> float:
+    """d(zeta)/d(chi) along the deterministic flow, from the same moment
+    block the optimal law uses: (lam^2 d - lam e) / (lam g - f (1 + lam^2));
+    the optimal law's oracle."""
+    d, e, f, g = moments
+    return (lam * lam * d - lam * e) / (lam * g - f * (1.0 + lam * lam))
 
 
 def test_coherent_state_moment_block():

@@ -3,13 +3,16 @@ others only through their public names, the frame's operators are read
 only through its public methods and at a time only through frame.at(v),
 one module owns process fan-out, one function loops over the steps, one
 function decides whether a stack is stepped as float64, one function
-spells the parity mirror, every name the benchmark tracer wraps exists,
-and every function and class of dynamics has a caller in the package.
-Also that a run on frame nodes builds none of the frame's cross terms."""
+spells the parity mirror, every name the benchmark tracer wraps or its
+workloads read exists, and every function, class, method and cached
+property of the package has a caller in the package or is a listed entry
+point. Also that a run on frame nodes builds none of the frame's cross
+terms."""
 
 import ast
 import importlib
 import math
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from spinlab.dynamics import EvolutionSpec, evolve
 from spinlab.feedback import FeedbackScheme
 
 SOURCES = {path.stem: ast.parse(path.read_text()) for path in Path(spinlab.__file__).parent.glob("*.py")}
+BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
 
 
 def _is_frame(node) -> bool:
@@ -147,16 +151,20 @@ def test_one_function_reflects_the_parity_half():
     assert len(set(found)) == 1, found
 
 
-def test_every_traced_site_resolves():
-    # read the tracer's table without running the tracer: a renamed
-    # function must fail here, not only in the benchmark's own tests
-    path = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+def _traced_sites() -> list[tuple[str, str, str]]:
+    """The benchmark tracer's SITES table, (span, owner, attr) per wrapped
+    name, read without running the tracer."""
     (table,) = (
         node.value
-        for node in ast.parse(path.read_text()).body
+        for node in ast.parse((BENCHMARKS / "tracing.py").read_text()).body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SITES"]
     )
-    sites = ast.literal_eval(table)
+    return ast.literal_eval(table)
+
+
+def test_every_traced_site_resolves():
+    # a renamed function must fail here, not only in the benchmark's own tests
+    sites = _traced_sites()
     assert sites
     missing = []
     for _, owner, attr in sites:
@@ -172,25 +180,87 @@ def test_every_traced_site_resolves():
     assert not missing
 
 
+def _benchmark_reads() -> set[tuple[str, str]]:
+    """(module, name) for every sl.<module>.<name> the benchmark's
+    workloads and runner read, sl being the spinlab modules by short name."""
+    return {
+        (node.value.attr, node.attr)
+        for path in (BENCHMARKS / "workloads.py", BENCHMARKS / "run.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name) and node.value.value.id == "sl"
+    }
+
+
+def test_every_benchmark_entry_point_resolves():
+    # a renamed harness.read_csv or optimal_states.min_xi2_on_curve must
+    # fail here, not only when the benchmark runs
+    reads = _benchmark_reads()
+    assert ("harness", "read_csv") in reads
+    missing = [f"{m}.{name}" for m, name in reads if not hasattr(importlib.import_module(f"spinlab.{m}"), name)]
+    assert not missing
+
+
 def _referenced(node) -> str | None:
     """The name a Name or Attribute node reads, else None."""
     return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
 
 
-def test_every_dynamics_definition_has_a_caller_in_the_package():
+def _definitions():
+    """(qualified name, node) for every module-level function and class of
+    the package and every method and cached property of its classes;
+    dunder methods, which Python calls, are left out."""
+    for module, tree in SOURCES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            yield f"{module}.{node.name}", node
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield f"{module}.{node.name}.{member.name}", member
+                elif isinstance(member, ast.Assign) and isinstance(member.value, ast.Call) and (
+                    _referenced(member.value.func) == "cached_property"
+                ):
+                    for target in member.targets:
+                        yield f"{module}.{node.name}.{target.id}", member
+
+
+def _read_by_string() -> set[str]:
+    """Names the package reads by string: the constant arguments of getattr
+    and of FrameAt._blend, which reads the frame's products by name."""
+    return {
+        arg.value
+        for tree in SOURCES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _referenced(node.func) in ("getattr", "_blend")
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    }
+
+
+# public API outside spinlab.__all__: the reader of every CSV the package
+# writes, and the frontier's zeta at a given chi
+PUBLIC = {"read_csv", "frontier_zeta_at"}
+
+
+def test_every_definition_has_a_caller_in_the_package():
     # a path only tests take is code no run checks; an import or an
-    # __all__ entry is not a caller, and neither is the definition itself
+    # __all__ entry is not a caller, and neither is the definition itself.
+    # Entry points need none: the exported names, the names read by string,
+    # the names the benchmark wraps or reads, and PUBLIC
+    entry = (
+        set(spinlab.__all__) | _read_by_string() | PUBLIC
+        | {attr for _, _, attr in _traced_sites()} | {name for _, name in _benchmark_reads()}
+    )
+    readers = defaultdict(set)
+    for tree in SOURCES.values():
+        for node in ast.walk(tree):
+            readers[_referenced(node)].add(id(node))
     uncalled = []
-    for definition in SOURCES["dynamics"].body:
-        if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
-            continue
-        inside = {id(node) for node in ast.walk(definition)}
-        if not any(
-            _referenced(node) == definition.name and id(node) not in inside
-            for tree in SOURCES.values()
-            for node in ast.walk(tree)
-        ):
-            uncalled.append(definition.name)
+    for name, definition in _definitions():
+        short = name.rpartition(".")[2]
+        if short not in entry and readers[short] <= {id(node) for node in ast.walk(definition)}:
+            uncalled.append(name)
     assert not uncalled
 
 

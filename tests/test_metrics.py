@@ -183,6 +183,41 @@ def test_sweep_stop_matches_uncut_run():
     assert (zeta[: n - 1] > floor).all() and zeta[n - 1] <= floor
 
 
+class _GainBySpin:
+    """A controller that gives each member of a stack the gain listed for
+    its spin j."""
+
+    kind = "none"
+
+    def __init__(self, gains):
+        self.gains = gains
+
+    def gain(self, read, frame, v):
+        return np.array([self.gains[j] for j in frame.spin_j.tolist()]), False
+
+
+def test_a_diverged_run_never_ends_ok():
+    # a gain far too large for the step drives spin 2's zeta negative in
+    # two steps; the floor stops it there, keeps the row and names why,
+    # while spin 1 beside it stops on a positive zeta, status ok
+    spec = EvolutionSpec(frame=single_mode_frame((2, 4)), delta_v=0.1, v_max=5.0)
+    rho0 = stack_members([css_rho("single", 2), css_rho("single", 4)])
+    stopped, diverged = evolve(rho0, spec, _GainBySpin({1.0: 0.5, 2.0: 5.0}), zeta_floor=0.5)
+    assert stopped.ok and 0 < stopped.column("zeta")[-1] <= 0.5
+    zeta = diverged.column("zeta")
+    assert diverged.n_rows == 3 and zeta[-1] <= 0 < zeta[:-1].min()
+    assert (diverged.status, diverged.abort_v) == ("aborted-zeta", 0.2)
+    assert diverged.abort_reason == f"zeta {zeta[-1]:.3e} is not positive"
+
+
+def test_sweep_names_a_run_that_diverged_before_the_floor():
+    # the analytic schedule grows as exp(v/2) and drives spin 1 past
+    # positivity near v = 13.8; its minimum, near v = 1.3, still stands
+    point = min_squeezing_sweep("single", [2], "analytic")[0]
+    assert point.status == "aborted-zeta"
+    assert abs(point.scaled - 1.188) < 1e-3 and point.v_at_min < 2.0
+
+
 def test_sweep_single_spin1_feedback_near_frontier():
     point = min_squeezing_sweep("single", [2], "simple")[0]
     assert abs(point.scaled - 1.0) < 0.02
