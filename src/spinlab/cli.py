@@ -26,7 +26,6 @@ from .harness import (
     run_ensemble,
     run_figure,
     run_scenario,
-    sweep_v_max,
     write_frontier_csv,
     write_sweep_csv,
 )
@@ -102,11 +101,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"twice-j: expected comma-separated integers, got {args.twice_j!r}") from None
     if not twice_j_values:
         raise ConfigError("twice-j: need at least one value")
-    v_max = args.v_max if args.v_max is not None else sweep_v_max(args.scheme)
-    delta_v = args.delta_v if args.delta_v is not None else 1e-3
     jobs = _positive("jobs", args.jobs)
     spins = [_positive("twice-j", tj) for tj in twice_j_values]
-    points = min_squeezing_sweep(args.mode, spins, args.scheme, delta_v=delta_v, v_max=v_max, jobs=jobs)
+    points = min_squeezing_sweep(args.mode, spins, args.scheme, delta_v=args.delta_v, v_max=args.v_max, jobs=jobs)
     for p in points:
         note = "" if p.status == "ok" else f"  [{p.status}]"
         print(f"{p.mode:6s} {p.scheme:16s} 2j={p.twice_j:<3d} "
@@ -164,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scheme", choices=SWEEP_SCHEMES, required=True)
     p_sweep.add_argument("--twice-j", dest="twice_j", required=True,
                          help="comma-separated 2j values, e.g. 2,4,10")
-    p_sweep.add_argument("--delta-v", type=float, dest="delta_v")
+    p_sweep.add_argument("--delta-v", type=float, dest="delta_v", default=1e-3)
     p_sweep.add_argument("--v-max", type=float, dest="v_max")
     p_sweep.add_argument("--out", help="sweep table CSV path")
     p_sweep.add_argument("--jobs", type=int, default=1)

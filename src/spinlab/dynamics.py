@@ -101,7 +101,8 @@ from .trajectory import STATUS_OK, RecordStack, TrajectoryRecord
 log = logging.getLogger(__name__)
 
 TRACE_TOL = 1e-6
-# the raw traces inside which a conditioned step renormalises
+# the raw traces a conditioned step may renormalise; integrate ends a run
+# whose raw trace leaves it
 TRACE_WINDOW = (0.5, 2.0)
 # the feedback steps do not preserve positivity exactly: forward Euler
 # leaves negative eigenvalue dust of order delta_v, the averaged
@@ -397,11 +398,6 @@ def countertwisting_step(rho, propagator):
     return 0.5 * (out + dagger(out))
 
 
-def _kept(lam, keep):
-    """The gains of the members kept: lam is one gain for all or one each."""
-    return lam[keep] if isinstance(lam, np.ndarray) else lam
-
-
 def integrate(
     rho0, spec: EvolutionSpec, controller, step, metrics, columns, metas: list[dict],
     *, conditioned: bool = False, zeta_floor: float | None = None,
@@ -452,13 +448,19 @@ def integrate(
     An unconditioned run's steps keep the trace: a state whose trace is
     off by more than TRACE_TOL ends its run, and max_trace_drift is the
     largest |trace - 1| of a state. A conditioned run's steps renormalise
-    inside TRACE_WINDOW: a raw trace outside it ends the run
-    "aborted-norm", and max_trace_drift is the largest raw |trace - 1|.
-    A non-finite trace, moment or gain also ends the run. Positivity is
-    logged and recorded, never repaired. With zeta_floor set, a run ends
-    at the first recorded row whose zeta is not above it, and that row is
-    kept: with status ok while zeta is positive, else "aborted-zeta",
-    since no positive state has zeta <= 0.
+    every state: a raw trace outside TRACE_WINDOW ends the run
+    "aborted-norm" before its state is read again, and max_trace_drift is
+    the largest raw |trace - 1|. A non-finite trace or metrics row ends
+    the run "aborted-nonfinite", and the row is dropped. A non-finite gain
+    does not end it: the controller clamps it to +-clamp, counted as a
+    clamp event like any gain past the clamp, and a state that turns
+    non-finite ends at its next trace check. Positivity is logged and recorded, never repaired. With
+    zeta_floor set, a run ends at the first recorded row whose zeta is not
+    above it, and that row is kept: with status ok while zeta is positive,
+    else "aborted-zeta", since no positive state has zeta <= 0. Every run
+    finishes through one exit, which records it from the rows so far and
+    narrows the stack, its per-member values and the gain to the runs
+    left.
 
     The stack is stepped as float64 when the step keeps a real state real
     and rho0 is exactly real (_as_stepped). The averaged step keeps every
@@ -508,38 +510,35 @@ def integrate(
     clamp_events = np.zeros(size, dtype=int)
     min_eig_floor = np.zeros(size)
     max_drift = [0.0] * size
-    n_rows = 0
+    n_rows, lam = 0, 0.0
     even = False  # whether the states are read on their parity half
     halves = averaged and getattr(controller, "reads_even", False)
 
-    def finish(k, status=STATUS_OK, abort_v=None, abort_reason=""):
-        run = live[k]
-        records[run] = TrajectoryRecord(
-            meta={**shared, **metas[run]},
-            columns={name: table[run, i, :n_rows] for i, name in enumerate(columns)},
-            status=status,
-            abort_v=abort_v,
-            abort_reason=abort_reason,
-            clamp_events=int(clamp_events[k]),
-            min_eig_floor=float(min_eig_floor[k]),
-            max_trace_drift=max_drift[k],
-        )
-
-    def end(ends: dict):
-        """Finish the members {stack position: (status, abort_v, reason)}
-        and drop them from the stack and its read; returns the mask of
-        those kept."""
-        nonlocal rho, frame, read, live, members, clamp_events, min_eig_floor, max_drift
+    def end(ends: dict) -> int:
+        """Finish the members {stack position: (status, abort_v, reason)},
+        each with the rows recorded so far, drop them from the stack, its
+        per-member values and the gain, and refresh the read; returns how
+        many runs are left."""
+        nonlocal rho, frame, read, lam, live, members, clamp_events, min_eig_floor, max_drift
         for k, why in ends.items():
-            finish(k, *why)
+            run = live[k]
+            records[run] = TrajectoryRecord(
+                meta={**shared, **metas[run]},
+                columns={name: table[run, i, :n_rows] for i, name in enumerate(columns)},
+                **dict(zip(("status", "abort_v", "abort_reason"), why)),
+                clamp_events=int(clamp_events[k]),
+                min_eig_floor=float(min_eig_floor[k]),
+                max_trace_drift=max_drift[k],
+            )
         keep = np.ones(len(live), dtype=bool)
         keep[list(ends)] = False
         rho, live, clamp_events, min_eig_floor = (a[keep] for a in (rho, live, clamp_events, min_eig_floor))
+        lam = lam[keep] if isinstance(lam, np.ndarray) else lam
         frame = frame.members(keep)
         max_drift = [m for m, kept in zip(max_drift, keep) if kept]
         members = live
         read = Moments(rho, even)
-        return keep
+        return live.size
 
     for n in range(spec.n_steps + 1):
         v = n * dv
@@ -547,22 +546,19 @@ def integrate(
         drift = [abs(x - 1.0) for x in trace]
         if not conditioned:
             max_drift = list(map(max, max_drift, drift))
-        if not all(d <= TRACE_TOL for d in drift):  # NaN fails this too
-            end({
-                k: ("aborted-trace", v, f"trace drift {d:.3e}")
-                if math.isfinite(x) else ("aborted-nonfinite", v, "non-finite trace")
-                for k, (x, d) in enumerate(zip(trace, drift)) if not d <= TRACE_TOL
-            })
-            if not live.size:
-                break
+        if not all(d <= TRACE_TOL for d in drift) and not end({  # NaN fails d <= TRACE_TOL too
+            k: ("aborted-trace", v, f"trace drift {d:.3e}")
+            if math.isfinite(x) else ("aborted-nonfinite", v, "non-finite trace")
+            for k, (x, d) in enumerate(zip(trace, drift)) if not d <= TRACE_TOL
+        }):
+            break
         read = Moments(rho, even)
         t = (v, v + dv) if averaged else v
         try:
             lam, clamped = controller.gain(read, frame, t)
         except GainError as err:
             failed = err.members or dict.fromkeys(range(live.size), str(err))
-            end({k: ("aborted-gain", v, reason) for k, reason in failed.items()})
-            if not live.size:
+            if not end({k: ("aborted-gain", v, reason) for k, reason in failed.items()}):
                 break
             lam, clamped = controller.gain(read, frame, t)
         if clamped is not False:
@@ -575,21 +571,17 @@ def integrate(
             table[members, :, n_rows] = values[: len(columns)].T
             zeta = values[zeta_at].tolist()
             if not all(map(math.isfinite, zeta)):
-                keep = end({
-                    k: ("aborted-nonfinite", v, "non-finite moments")
-                    for k, z in enumerate(zeta) if not math.isfinite(z)
-                })
-                lam, zeta = _kept(lam, keep), [z for z in zeta if math.isfinite(z)]
-                if not live.size:
+                if not end({
+                    k: ("aborted-nonfinite", v, "non-finite moments") for k, z in enumerate(zeta) if not math.isfinite(z)
+                }):
                     break
+                zeta = [z for z in zeta if math.isfinite(z)]
             n_rows += 1
-            if zeta_floor is not None and not all(z > zeta_floor for z in zeta):
-                lam = _kept(lam, end({
-                    k: (STATUS_OK,) if z > 0 else ("aborted-zeta", v, f"zeta {z:.3e} is not positive")
-                    for k, z in enumerate(zeta) if not z > zeta_floor
-                }))
-                if not live.size:
-                    break
+            if zeta_floor is not None and not all(z > zeta_floor for z in zeta) and not end({
+                k: (STATUS_OK,) if z > 0 else ("aborted-zeta", v, f"zeta {z:.3e} is not positive")
+                for k, z in enumerate(zeta) if not z > zeta_floor
+            }):
+                break
         if n % AUDIT_STRIDE == 0:
             low = np.linalg.eigvalsh(rho)[:, 0]
             for k in np.flatnonzero((low < EIG_FLOOR) & (min_eig_floor >= EIG_FLOOR)):
@@ -603,16 +595,13 @@ def integrate(
         if conditioned:
             raw = raw.tolist()
             max_drift = list(map(max, max_drift, [abs(x - 1.0) for x in raw]))
-            if not all(TRACE_WINDOW[0] < x < TRACE_WINDOW[1] for x in raw):
-                end({
-                    k: ("aborted-norm", v + dv, f"trace {x:.3e} outside renormalisation window")
-                    for k, x in enumerate(raw) if not TRACE_WINDOW[0] < x < TRACE_WINDOW[1]
-                })
-                if not live.size:
-                    break
+            if not all(TRACE_WINDOW[0] < x < TRACE_WINDOW[1] for x in raw) and not end({
+                k: ("aborted-norm", v + dv, f"trace {x:.3e} outside renormalisation window")
+                for k, x in enumerate(raw) if not TRACE_WINDOW[0] < x < TRACE_WINDOW[1]
+            }):
+                break
 
-    for k in range(live.size):
-        finish(k)
+    end(dict.fromkeys(range(live.size), (STATUS_OK,)))
     return records
 
 

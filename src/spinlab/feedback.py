@@ -48,13 +48,6 @@ class GainError(RuntimeError):
         self.members = members
 
 
-class ClampFlags(np.ndarray):
-    """Which members of a stack had their gain clamped; int() counts them."""
-
-    def __int__(self):
-        return int(np.count_nonzero(self))
-
-
 def _node_mean(frame: MeasurementFrame, v, moment) -> float:
     """moment(frame.at(v)), or its mean over v when v is a tuple of
     frame-node times."""
@@ -178,7 +171,7 @@ class FeedbackScheme:
 
         On a stack the state-dependent laws give one gain per member.
         clamped is then False when no member was clamped, and otherwise
-        the ClampFlags of the members that were.
+        a bool array over the members, True where the gain was clamped.
         """
         if self.kind == "none":
             return 0.0, False
@@ -200,4 +193,4 @@ class FeedbackScheme:
         if all(abs(x) <= self.clamp for x in lam.tolist()):  # NaN fails this too
             return lam, False
         flags = ~(np.abs(lam) <= self.clamp)
-        return np.where(flags, np.copysign(self.clamp, lam), lam), flags.view(ClampFlags)
+        return np.where(flags, np.copysign(self.clamp, lam), lam), flags

@@ -411,12 +411,6 @@ def gamma_from_experiment(coupling: float = 5e-13, photon_flux: float = 2e16) ->
 # Bundled scenario sets: canonical curve families, one CSV per curve
 
 
-def sweep_v_max(scheme: str) -> float:
-    """Horizon of a best-squeezing sweep: countertwisting passes its best
-    squeezing well before v = 5, the feedback laws need up to v = 20."""
-    return 5.0 if scheme == "countertwist" else 20.0
-
-
 _FIG6_SCHEMES = ("simple", "analytic", "optimal", "countertwist", "optimal-states")
 
 
@@ -480,9 +474,9 @@ def _figure_item(args):
         return name, "ok"
     if kind == "sweep":
         mode, twice_j_values, scheme = payload
-        points = min_squeezing_sweep(mode, twice_j_values, scheme, v_max=sweep_v_max(scheme))
+        points = min_squeezing_sweep(mode, twice_j_values, scheme)
         write_sweep_csv(points, out)
-        return name, "ok"
+        return name, next((p.status for p in points if p.status != "ok"), "ok")
     raise ValueError(f"unknown bundle item kind {kind!r}")
 
 

@@ -189,14 +189,17 @@ def min_squeezing_sweep(
     twice_j_values,
     scheme: str,
     delta_v: float = 1e-3,
-    v_max: float = 20.0,
+    v_max: float | None = None,
     jobs: int = 1,
 ):
     """Best squeezing per spin for one production scheme.
 
-    Integrates the deterministic evolution for each listed spin, locates
-    the minimum of xi^2 = zeta/chi^2 over the recorded rows (with 3-point
-    parabolic refinement), and reports (j+1) xi^2_min. scheme
+    Integrates the deterministic evolution for each listed spin up to
+    v_max, by default the scheme's horizon: 5 for countertwisting, which
+    passes its best squeezing well before that, and 20 for the feedback
+    laws, which need that long. It locates the minimum of
+    xi^2 = zeta/chi^2 over the recorded rows (with 3-point parabolic
+    refinement), and reports (j+1) xi^2_min. scheme
     "optimal-states" short-circuits to the extremal-state curve instead
     of a time integration. Runs that abort mid-way still contribute their
     pre-abort minimum, flagged via status/interior.
@@ -234,6 +237,8 @@ def min_squeezing_sweep(
     """
     from .stochastic import fan_out  # deferred: stochastic imports this module
 
+    if v_max is None:
+        v_max = 5.0 if scheme == "countertwist" else 20.0
     spins = [int(twice_j) for twice_j in twice_j_values]
     stacks = mode == "single" and scheme != "optimal-states"
     small = [i for i, twice_j in enumerate(spins) if stacks and twice_j + 1 <= STACK_MAX_DIM]

@@ -6,7 +6,7 @@ operators evaluated at the left endpoint (Ito convention):
   1. measurement back-action  rho += dv D[Z] rho + dW H[Z] rho
   2. feedback kick            rho -> U rho U^dag with
                               U = 1 + (L dY) K - (L dY)^2 Y^2 / 2
-  3. trace renormalisation
+  3. trace renormalisation, rho -> rho / Tr rho, of every state
 
 where dY = 2<Z> dv + dW is the record increment and K = -iY, so the
 kick is 1 - i (L dY) Y to first order. The second-order term in U keeps
@@ -27,7 +27,10 @@ and a batch of trajectories goes through the step loop in
 dynamics.integrate as one stack, which the deterministic runs share as
 a stack of one. The loop brings the trace checks, gain, metrics rows,
 positivity audit and per-trajectory abort statuses; every member's
-numbers are bit for bit those of the trajectory run alone. Batches hold
+numbers are bit for bit those of the trajectory run alone. The step
+renormalises every member and returns each trace before renormalisation;
+integrate alone reads dynamics.TRACE_WINDOW and ends a member whose trace
+left it, before its renormalised state is read again. Batches hold
 up to BATCH_ELEMENTS matrix elements, so a spin-1 ensemble is one batch
 per worker. On the static single-mode frame Z, K and Y^2 are real, so
 integrate steps a real rho0 as a float64 stack; a two-mode frame
@@ -46,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import MeasurementFrame, dagger, moments_of
-from .dynamics import TRACE_WINDOW, EvolutionSpec, integrate
+from .dynamics import EvolutionSpec, integrate
 from .feedback import FeedbackScheme
 from .metrics import METRIC_COLUMNS, compute_metrics
 from .trajectory import EnsembleRecord, TrajectoryRecord
@@ -89,10 +92,12 @@ def _per_state(x):
 
 def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float, dw):
     """One stochastic step; returns (new rho, record increment, trace
-    before renorm). rho is one state or a (B, n, n) stack, or the Moments
-    of either, which the step reads <Z> from; lam and dw are then scalars
-    or one per member, and the record increment and trace come back one
-    per member."""
+    before renormalisation). rho is one state or a (B, n, n) stack, or the
+    Moments of either, which the step reads <Z> from; lam and dw are then
+    scalars or one per member, and the record increment and trace come
+    back one per member. Every member is divided by its own trace, however
+    far it lies from 1; integrate ends the members whose trace left
+    TRACE_WINDOW, so their renormalised states are never read."""
     read = moments_of(rho)
     rho = read.rho
     at = frame.at(v)
@@ -120,11 +125,7 @@ def conditioned_step(rho, frame: MeasurementFrame, v: float, lam, delta_v: float
         mid = kicked if np.all(fed) else np.where(_per_state(fed), kicked, mid)
 
     trace = np.trace(mid, axis1=-2, axis2=-1).real
-    inside = (TRACE_WINDOW[0] < trace) & (trace < TRACE_WINDOW[1])
-    if np.all(inside):
-        mid /= _per_state(trace)
-    elif np.ndim(inside):
-        mid[inside] /= _per_state(trace[inside])
+    mid /= _per_state(trace)
     out = 0.5 * (mid + dagger(mid))
     return out, dy, trace
 
@@ -142,8 +143,9 @@ def trajectory_batch(
     The recorded squeezing column is mean-subtracted (genuine
     conditional variance); the raw means of the two measured components
     ride along so the unconditioned second moment can be rebuilt. Each
-    step renormalises a trace inside TRACE_WINDOW, and integrate, told the
-    run is conditioned, checks it (see there for the statuses and
+    step renormalises every state and hands integrate the traces before
+    renormalisation; integrate, told the run is conditioned, checks them
+    against its renormalisation window (see there for the statuses and
     max_trace_drift) and steps a single-mode frame's real rho0 as float64.
     """
     if spec.generator != "feedback":

@@ -169,6 +169,15 @@ def test_figure_command_with_injected_bundle(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "mini.csv").exists()
 
 
+def test_figure_command_reports_a_sweep_point_that_did_not_finish(tmp_path, monkeypatch, capsys):
+    # the analytic law drives the spin-1 sweep run to zeta <= 0
+    monkeypatch.setitem(FIGURE_BUNDLES, "figtest", (("sweep", "mini", ("single", (2,), "analytic")),))
+    code = main(["figure", "figtest", "--out-dir", str(tmp_path)])
+    assert code == EXIT_ABORT
+    assert "figtest/mini: aborted-zeta" in capsys.readouterr().out
+    assert (tmp_path / "mini.csv").exists()
+
+
 def test_gamma_command(capsys):
     assert main(["gamma"]) == EXIT_OK
     out = capsys.readouterr().out

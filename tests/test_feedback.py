@@ -216,7 +216,7 @@ def test_stacked_gain_equals_per_state_gains(kind):
         lam, clamped = scheme.gain(stack, fr, t)
         want = np.array([g for g, _ in singles])
         assert np.array_equal(np.broadcast_to(lam, want.shape).view(np.uint64), want.view(np.uint64))
-        assert int(clamped) == sum(c for _, c in singles)
+        assert np.count_nonzero(clamped) == sum(c for _, c in singles)
         if clamped is not False and np.ndim(clamped):
             assert list(clamped) == [c for _, c in singles]
 

@@ -2,8 +2,9 @@
 others only through their public names, the frame's operators are read
 only through its public methods and at a time only through frame.at(v),
 one module owns process fan-out, one function loops over the steps, one
-function decides whether a stack is stepped as float64, one function
-spells the parity mirror, every name the benchmark tracer wraps or its
+site inside it builds the records of its runs, only dynamics reads the
+renormalisation window, one function decides whether a stack is stepped
+as float64, one function spells the parity mirror, every name the benchmark tracer wraps or its
 workloads read exists, and every function, class, method and cached
 property of the package has a caller in the package or is a listed entry
 point. Also that a run on frame nodes builds none of the frame's cross
@@ -113,6 +114,38 @@ def test_one_function_loops_over_the_steps():
     # integrate steps every run, one state or a stack; a second loop over
     # the steps would be a second integrator to keep in line with it
     assert _functions_holding(_steps_loop) == ["dynamics.integrate"]
+
+
+def test_one_site_inside_integrate_builds_run_records():
+    # every run finishes through integrate's one exit, which records it
+    # from the rows so far; a second site would be a second way to finish
+    # a run, and a second set of per-member values to keep in line
+    sites = [
+        (module, node.lineno)
+        for module, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "TrajectoryRecord"
+    ]
+    assert len(sites) == 1, sites
+    ((module, line),) = sites
+    loop = next(
+        node for node in ast.walk(SOURCES["dynamics"]) if isinstance(node, ast.FunctionDef) and node.name == "integrate"
+    )
+    assert module == "dynamics" and loop.lineno <= line <= loop.end_lineno
+
+
+def test_only_dynamics_reads_the_trace_window():
+    # the conditioned step renormalises every state and integrate alone
+    # decides which raw traces end a run
+    readers = {
+        module
+        for module, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "TRACE_WINDOW")
+        or (isinstance(node, ast.Attribute) and node.attr == "TRACE_WINDOW")
+        or (isinstance(node, ast.alias) and node.name == "TRACE_WINDOW")
+    }
+    assert readers == {"dynamics"}
 
 
 def _asks_if_a_state_is_real(node) -> bool:

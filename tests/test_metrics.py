@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinlab import dynamics
+from spinlab import dynamics, metrics
 from spinlab.algebra import Moments, single_mode_frame, spin_matrices, stack_members, two_mode_frame
 from spinlab.dynamics import EvolutionSpec, evolve
 from spinlab.feedback import FeedbackScheme
@@ -216,6 +216,22 @@ def test_sweep_names_a_run_that_diverged_before_the_floor():
     point = min_squeezing_sweep("single", [2], "analytic")[0]
     assert point.status == "aborted-zeta"
     assert abs(point.scaled - 1.188) < 1e-3 and point.v_at_min < 2.0
+
+
+def test_sweep_horizon_defaults_to_the_schemes(monkeypatch):
+    # countertwisting passes its best squeezing well before v = 5, the
+    # feedback laws need up to v = 20; an explicit v_max is kept
+    horizons = []
+
+    def group(task):
+        horizons.append(task[-1])
+        return [None] * len(task[1])
+
+    monkeypatch.setattr(metrics, "_sweep_group", group)
+    for scheme in ("countertwist", "simple", "optimal"):
+        min_squeezing_sweep("single", (2, 4), scheme)
+    min_squeezing_sweep("two", (1,), "countertwist", v_max=1.5)
+    assert horizons == [5.0, 20.0, 20.0, 1.5]
 
 
 def test_sweep_single_spin1_feedback_near_frontier():

@@ -8,12 +8,11 @@ from scipy import stats
 
 from spinlab import dynamics
 from spinlab.algebra import expect_real, moments_of, single_mode_frame, spin_matrices, two_mode_frame
-from spinlab.dynamics import EvolutionSpec, evolve
+from spinlab.dynamics import TRACE_WINDOW, EvolutionSpec, evolve
 from spinlab.feedback import FeedbackScheme, GainError
 from spinlab.metrics import compute_metrics
 from spinlab.stochastic import (
     NOISE_BLOCK,
-    TRACE_WINDOW,
     WienerStream,
     average_records,
     conditioned_step,
