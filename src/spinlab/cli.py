@@ -111,7 +111,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         write_sweep_csv(points, args.out)
         print(f"wrote {args.out}")
-    return EXIT_OK
+    return EXIT_OK if all(p.status == "ok" for p in points) else EXIT_ABORT
 
 
 def _cmd_frontier(args) -> int:

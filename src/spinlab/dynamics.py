@@ -400,7 +400,7 @@ def countertwisting_step(rho, propagator):
 
 def integrate(
     rho0, spec: EvolutionSpec, controller, step, metrics, columns, metas: list[dict],
-    *, conditioned: bool = False, zeta_floor: float | None = None,
+    *, conditioned: bool = False, stop=None,
 ) -> list[TrajectoryRecord]:
     """The step loop every run shares, averaged or conditioned.
 
@@ -454,12 +454,17 @@ def integrate(
     the run "aborted-nonfinite", and the row is dropped. A non-finite gain
     does not end it: the controller clamps it to +-clamp, counted as a
     clamp event like any gain past the clamp, and a state that turns
-    non-finite ends at its next trace check. Positivity is logged and recorded, never repaired. With
-    zeta_floor set, a run ends at the first recorded row whose zeta is not
-    above it, and that row is kept: with status ok while zeta is positive,
-    else "aborted-zeta", since no positive state has zeta <= 0. Every run
-    finishes through one exit, which records it from the rows so far and
-    narrows the stack, its per-member values and the gain to the runs
+    non-finite ends at its next trace check. Positivity is logged and
+    recorded, never repaired. With stop set, each recorded row, once kept,
+    is handed to stop(v, row, live): row maps each metrics column asked for
+    (the named ones and zeta) to its values over the live stack, and live
+    indexes the stack's members among the runs. It returns
+    {stack position: (status, abort_v, reason)} for the runs that end on
+    that row, status alone for an ok end, and those runs end there with the
+    row kept; a size sweep's stop (metrics.sweep_stop) ends a run once its
+    xi2 minimum is bracketed or zeta falls to the resolution floor. Every
+    run finishes through one exit, which records it from the rows so far
+    and narrows the stack, its per-member values and the gain to the runs
     left.
 
     The stack is stepped as float64 when the step keeps a real state real
@@ -575,12 +580,9 @@ def integrate(
                     k: ("aborted-nonfinite", v, "non-finite moments") for k, z in enumerate(zeta) if not math.isfinite(z)
                 }):
                     break
-                zeta = [z for z in zeta if math.isfinite(z)]
+                values = values[:, [k for k, z in enumerate(zeta) if math.isfinite(z)]]
             n_rows += 1
-            if zeta_floor is not None and not all(z > zeta_floor for z in zeta) and not end({
-                k: (STATUS_OK,) if z > 0 else ("aborted-zeta", v, f"zeta {z:.3e} is not positive")
-                for k, z in enumerate(zeta) if not z > zeta_floor
-            }):
+            if stop is not None and (ends := stop(v, dict(zip(asked, values)), live)) and not end(ends):
                 break
         if n % AUDIT_STRIDE == 0:
             low = np.linalg.eigvalsh(rho)[:, 0]
@@ -609,12 +611,13 @@ def evolve(
     rho0,
     spec: EvolutionSpec,
     controller: FeedbackScheme | None = None,
-    zeta_floor: float | None = None,
+    stop=None,
     columns=PLAIN_COLUMNS,
 ) -> TrajectoryRecord | RecordStack:
     """Integrate the deterministic evolution and record the named columns
-    of each metrics row; see integrate for the row, abort and diagnostic
-    contract.
+    of each metrics row, to spec.v_max unless a run aborts or stop, a
+    per-row stop as integrate takes it, ends it earlier; see integrate for
+    the row, stop, abort and diagnostic contract.
 
     rho0 is one state, and evolve returns its run's record, or a
     (B, n, n) stack, one state per member of a member-stacked frame or B
@@ -686,5 +689,5 @@ def evolve(
         return advance(rho[0], frame, v, lam, live)[None], None
 
     metas = [{}] * (len(rho0) if stacked else 1)
-    records = integrate(rho0, spec, controller, step, compute_metrics, columns, metas, zeta_floor=zeta_floor)
+    records = integrate(rho0, spec, controller, step, compute_metrics, columns, metas, stop=stop)
     return RecordStack(records) if stacked else records[0]

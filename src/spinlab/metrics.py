@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import MeasurementFrame, moments_of, single_mode_frame, stack_members
+from .trajectory import STATUS_OK
 
 # below this polarisation the squeezing ratio is meaningless; report NaN
 CHI_FLOOR = 1e-6
@@ -164,6 +165,37 @@ class SweepPoint:
 # accumulated drift; rows past that point are noise. The same floor holds
 # for the second-order averaged two-mode step, so every sweep cuts alike
 ZETA_RESOLUTION_STEPS = 10.0
+# a sweep run ends on the first row whose xi2 exceeds this multiple of its
+# running minimum: the minimum is bracketed, and no later row of a fig6a or
+# fig6b feedback-law run comes back below it
+BRACKET_RATIO = 1.2
+
+
+def sweep_stop(zeta_floor: float):
+    """The per-row stop a size sweep hands to dynamics.evolve: a run ends
+    on the first row whose zeta is not above zeta_floor, with status ok
+    while zeta is positive, else "aborted-zeta", since no positive state
+    has zeta <= 0; or, ok, on the first row whose xi2 exceeds
+    BRACKET_RATIO times the smallest xi2 of its rows before. Either row is
+    kept, so the bracket row is the minimum's right-hand neighbour. The
+    running minimum is kept per run id, so it survives the narrowing of
+    the stack, and a NaN xi2 (chi below CHI_FLOOR) neither ends a run nor
+    enters its minimum."""
+    best = {}
+
+    def stop(v, row, live):
+        ends = {}
+        for k, (run, z, x) in enumerate(zip(live.tolist(), row["zeta"].tolist(), row["xi2"].tolist())):
+            low = best.get(run, math.inf)
+            if not z > zeta_floor:
+                ends[k] = (STATUS_OK,) if z > 0 else ("aborted-zeta", v, f"zeta {z:.3e} is not positive")
+            elif x > BRACKET_RATIO * low:
+                ends[k] = (STATUS_OK,)
+            elif x < low:
+                best[run] = x
+        return ends
+
+    return stop
 
 
 def _xi2_minimum(v, xi2, zeta=None, zeta_floor=0.0):
@@ -194,23 +226,30 @@ def min_squeezing_sweep(
 ):
     """Best squeezing per spin for one production scheme.
 
-    Integrates the deterministic evolution for each listed spin up to
-    v_max, by default the scheme's horizon: 5 for countertwisting, which
-    passes its best squeezing well before that, and 20 for the feedback
-    laws, which need that long. It locates the minimum of
-    xi^2 = zeta/chi^2 over the recorded rows (with 3-point parabolic
-    refinement), and reports (j+1) xi^2_min. scheme
+    Integrates the deterministic evolution for each listed spin and
+    stops at the bracket or the floor, else at v_max, by default the
+    scheme's horizon: 5 for countertwisting, which passes its best
+    squeezing well before that, and 20 for the feedback laws. It locates
+    the minimum of xi^2 = zeta/chi^2 over the recorded rows (with 3-point
+    parabolic refinement), and reports (j+1) xi^2_min. scheme
     "optimal-states" short-circuits to the extremal-state curve instead
     of a time integration. Runs that abort mid-way still contribute their
     pre-abort minimum, flagged via status/interior.
 
-    Each integration stops at the first row where zeta falls to
-    ~10 delta_v, and that row is excluded: the integrators cannot resolve
-    deeper squeezing, past that point the ratio is integration noise, and
-    the gain that noise feeds can drive the run to an abort. Small spins
-    approach their best xi^2 asymptotically, so their minimum lands on the
-    end of the resolved prefix (interior=False) about a percent above the
-    true asymptote; "optimal-states" gives the exact value.
+    Each integration runs under sweep_stop. It stops, ok, at the bracket:
+    the first row whose xi^2 exceeds BRACKET_RATIO times the run's
+    minimum so far, which is kept as the minimum's right-hand neighbour.
+    The feedback laws' minima land near v = 0.6-1.3, so this saves
+    integrating on to v = 20. Countertwisting is periodic at small spins
+    and can revisit its minimum after the bracket, so a stopped sweep
+    reports its first minimum. Otherwise it stops at the first row where
+    zeta falls to ~10 delta_v, and that row is excluded: the integrators
+    cannot resolve deeper squeezing, past that point the ratio is
+    integration noise, and the gain that noise feeds can drive the run to
+    an abort. Small spins approach their best xi^2 asymptotically, so
+    their minimum lands on the end of the resolved prefix
+    (interior=False) about a percent above the true asymptote;
+    "optimal-states" gives the exact value.
 
     The spins go in groups, each integrated by one dynamics.evolve call,
     and the groups fan out over up to jobs worker processes through
@@ -268,7 +307,7 @@ def _sweep_group(task) -> list[SweepPoint]:
         spec = replace(spec, frame=single_mode_frame(group))
         rho0 = stack_members([config.initial_state() for config in configs])
     zeta_floor = ZETA_RESOLUTION_STEPS * delta_v
-    run = dynamics.evolve(rho0, spec, configs[0].controller(), zeta_floor, SWEEP_COLUMNS)
+    run = dynamics.evolve(rho0, spec, configs[0].controller(), sweep_stop(zeta_floor), SWEEP_COLUMNS)
     records = run if len(group) > 1 else [run]
     points = []
     for twice_j, record in zip(group, records):

@@ -170,12 +170,26 @@ def test_figure_command_with_injected_bundle(tmp_path, monkeypatch, capsys):
 
 
 def test_figure_command_reports_a_sweep_point_that_did_not_finish(tmp_path, monkeypatch, capsys):
-    # the analytic law drives the spin-1 sweep run to zeta <= 0
-    monkeypatch.setitem(FIGURE_BUNDLES, "figtest", (("sweep", "mini", ("single", (2,), "analytic")),))
+    # forward Euler's stable step is too short for the simple law's gain
+    # spike at 2j = 80: the run's trace drifts off before its minimum is
+    # bracketed, near v = 0.52
+    monkeypatch.setitem(FIGURE_BUNDLES, "figtest", (("sweep", "mini", ("single", (80,), "simple")),))
     code = main(["figure", "figtest", "--out-dir", str(tmp_path)])
     assert code == EXIT_ABORT
-    assert "figtest/mini: aborted-zeta" in capsys.readouterr().out
+    assert "figtest/mini: aborted-trace" in capsys.readouterr().out
     assert (tmp_path / "mini.csv").exists()
+
+
+def test_sweep_command_exits_three_when_a_point_did_not_finish(tmp_path, capsys):
+    # as figure does: every point is printed and written, and the one that
+    # did not finish is flagged and sets the exit code
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--mode", "single", "--scheme", "simple", "--twice-j", "2,80", "--out", str(out)])
+    assert code == EXIT_ABORT
+    lines = capsys.readouterr().out.splitlines()
+    assert "[" not in lines[0] and lines[1].endswith("[aborted-trace]")
+    _, cols = read_csv(out)
+    assert cols["twice_j"] == ["2", "80"]
 
 
 def test_gamma_command(capsys):

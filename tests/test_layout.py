@@ -1,7 +1,8 @@
 """Package layout rules, checked on the source: each module reaches the
 others only through their public names, the frame's operators are read
 only through its public methods and at a time only through frame.at(v),
-one module owns process fan-out, one function loops over the steps, one
+one module owns process fan-out, one function loops over the steps, its
+keyword options are conditioned and one per-row stop, one
 site inside it builds the records of its runs, only dynamics reads the
 renormalisation window, one function decides whether a stack is stepped
 as float64, one function spells the parity mirror, every name the benchmark tracer wraps or its
@@ -114,6 +115,16 @@ def test_one_function_loops_over_the_steps():
     # integrate steps every run, one state or a stack; a second loop over
     # the steps would be a second integrator to keep in line with it
     assert _functions_holding(_steps_loop) == ["dynamics.integrate"]
+
+
+def test_integrate_ends_runs_early_only_through_its_stop():
+    # a sweep's zeta floor and its bracket are one per-row stop; an option
+    # beside it, such as a floor, would be a second early exit to keep in
+    # line with the stop
+    (loop,) = (
+        node for node in ast.walk(SOURCES["dynamics"]) if isinstance(node, ast.FunctionDef) and node.name == "integrate"
+    )
+    assert [arg.arg for arg in loop.args.kwonlyargs] == ["conditioned", "stop"]
 
 
 def test_one_site_inside_integrate_builds_run_records():

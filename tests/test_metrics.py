@@ -13,6 +13,7 @@ from spinlab.dynamics import EvolutionSpec, evolve
 from spinlab.feedback import FeedbackScheme
 from spinlab.harness import SimConfig
 from spinlab.metrics import (
+    BRACKET_RATIO,
     CHI_FLOOR,
     METRIC_COLUMNS,
     PLAIN_COLUMNS,
@@ -25,7 +26,9 @@ from spinlab.metrics import (
     min_squeezing_sweep,
     parabolic_min,
     squeezing_xi2,
+    sweep_stop,
 )
+from spinlab.trajectory import STATUS_OK
 
 from conftest import RecordedMoments, css_rho, random_density, random_pure
 
@@ -164,8 +167,9 @@ def test_sweep_smallest_two_mode_feedback_near_frontier():
 
 
 def test_sweep_stop_matches_uncut_run():
-    # the sweep ends its run at the resolution floor; an uncut run of the
-    # same scenario, cut only by _xi2_minimum, gives the same point
+    # spin 1's xi2 falls until the resolution floor, so the sweep's stop
+    # ends its run there; an uncut run of the same scenario, cut only by
+    # _xi2_minimum, gives the same point
     v_max, delta_v = 8.0, 1e-3
     point = min_squeezing_sweep("single", [2], "simple", v_max=v_max)[0]
     spec = EvolutionSpec(frame=single_mode_frame(2), delta_v=delta_v, v_max=v_max)
@@ -176,7 +180,7 @@ def test_sweep_stop_matches_uncut_run():
     xi2_min, v_min, interior = _xi2_minimum(record.column("v"), record.column("xi2"), zeta, floor)
     assert point == SweepPoint("single", 2, "simple", xi2_min, v_min, 2.0 * xi2_min, "ok", interior)
     # the stopped run is the uncut run's prefix through the first row at the floor
-    cut = evolve(css_rho("single", 2), spec, FeedbackScheme("simple"), zeta_floor=floor)
+    cut = evolve(css_rho("single", 2), spec, FeedbackScheme("simple"), sweep_stop(floor))
     n = cut.n_rows
     assert cut.ok and n < record.n_rows
     assert np.array_equal(cut.column("zeta"), zeta[:n])
@@ -196,13 +200,28 @@ class _GainBySpin:
         return np.array([self.gains[j] for j in frame.spin_j.tolist()]), False
 
 
+def _floor_stop(zeta_floor):
+    """A per-row stop that ends a run only at the zeta floor, by the
+    sweep's rule: ok while zeta is positive, else aborted-zeta."""
+
+    def stop(v, row, live):
+        return {
+            k: (STATUS_OK,) if z > 0 else ("aborted-zeta", v, f"zeta {z:.3e} is not positive")
+            for k, z in enumerate(row["zeta"].tolist())
+            if not z > zeta_floor
+        }
+
+    return stop
+
+
 def test_a_diverged_run_never_ends_ok():
     # a gain far too large for the step drives spin 2's zeta negative in
     # two steps; the floor stops it there, keeps the row and names why,
-    # while spin 1 beside it stops on a positive zeta, status ok
+    # while spin 1 beside it stops on a positive zeta, status ok (the
+    # sweep's stop would end spin 2 a row earlier, at its bracket)
     spec = EvolutionSpec(frame=single_mode_frame((2, 4)), delta_v=0.1, v_max=5.0)
     rho0 = stack_members([css_rho("single", 2), css_rho("single", 4)])
-    stopped, diverged = evolve(rho0, spec, _GainBySpin({1.0: 0.5, 2.0: 5.0}), zeta_floor=0.5)
+    stopped, diverged = evolve(rho0, spec, _GainBySpin({1.0: 0.5, 2.0: 5.0}), _floor_stop(0.5))
     assert stopped.ok and 0 < stopped.column("zeta")[-1] <= 0.5
     zeta = diverged.column("zeta")
     assert diverged.n_rows == 3 and zeta[-1] <= 0 < zeta[:-1].min()
@@ -210,11 +229,12 @@ def test_a_diverged_run_never_ends_ok():
     assert diverged.abort_reason == f"zeta {zeta[-1]:.3e} is not positive"
 
 
-def test_sweep_names_a_run_that_diverged_before_the_floor():
+def test_sweep_stops_an_analytic_run_at_its_bracket_before_it_diverges():
     # the analytic schedule grows as exp(v/2) and drives spin 1 past
-    # positivity near v = 13.8; its minimum, near v = 1.3, still stands
+    # positivity near v = 13.8; the sweep stops the run ok once its
+    # minimum, near v = 1.3, is bracketed, long before that
     point = min_squeezing_sweep("single", [2], "analytic")[0]
-    assert point.status == "aborted-zeta"
+    assert point.status == "ok" and point.interior
     assert abs(point.scaled - 1.188) < 1e-3 and point.v_at_min < 2.0
 
 
@@ -286,13 +306,14 @@ def test_two_mode_sweep_fans_out_one_spin_per_group():
     assert [p.twice_j for p in points] == [1, 2]
 
 
-def _stacked_run(group, v_max):
+def _stacked_run(group, v_max, stop=None):
     """The records of the single-mode simple-law spins group, run as one
-    stack on their member-stacked frame with the sweep's zeta floor."""
+    stack on their member-stacked frame under stop, by default the floor
+    of the sweep's zeta alone."""
     configs = [SimConfig(mode="single", twice_j=tj, v_max=v_max) for tj in group]
     spec = replace(configs[0].spec(), frame=single_mode_frame(group))
     rho0 = stack_members([c.initial_state() for c in configs])
-    return evolve(rho0, spec, configs[0].controller(), zeta_floor=ZETA_RESOLUTION_STEPS * 1e-3)
+    return evolve(rho0, spec, configs[0].controller(), stop or _floor_stop(ZETA_RESOLUTION_STEPS * 1e-3))
 
 
 def test_stacked_members_do_not_interact():
@@ -303,6 +324,82 @@ def test_stacked_members_do_not_interact():
     assert short.ok and short.n_rows == 4583 and four.n_rows == ten.n_rows == 6001
     for name in PLAIN_COLUMNS:
         assert np.array_equal(ten.column(name).view(np.uint64), other_ten.column(name).view(np.uint64)), name
+
+
+@pytest.mark.parametrize("mode, spins", (("single", (2, 4, 10)), ("two", (1, 2))))
+def test_a_stopped_sweep_keeps_the_points_of_runs_to_the_floor(mode, spins):
+    # the oracle: the same runs, stacked as the sweep stacks them, ended
+    # only at the zeta floor; the bracket stop keeps every row up to the
+    # minimum and its right-hand neighbour, and no later row comes back
+    # below the minimum, so the points are the same to the last bit
+    floor = ZETA_RESOLUTION_STEPS * 1e-3
+    stopped = min_squeezing_sweep(mode, spins, "simple")
+    configs = [SimConfig(mode=mode, twice_j=tj) for tj in spins]
+    if mode == "single":
+        spec = replace(configs[0].spec(), frame=single_mode_frame(spins))
+        records = evolve(stack_members([c.initial_state() for c in configs]), spec, configs[0].controller(),
+                         _floor_stop(floor), SWEEP_COLUMNS)
+    else:
+        records = [evolve(c.initial_state(), c.spec(), c.controller(), _floor_stop(floor), SWEEP_COLUMNS) for c in configs]
+    for point, record in zip(stopped, records):
+        xi2_min, v_min, interior = _xi2_minimum(record.column("v"), record.column("xi2"), record.column("zeta"), floor)
+        want = SweepPoint(mode, point.twice_j, "simple", xi2_min, v_min, (point.twice_j / 2 + 1) * xi2_min,
+                          record.status, interior)
+        assert point == want and point.xi2_min.hex() == xi2_min.hex(), point.twice_j
+
+
+def _row(zeta, xi2):
+    return {"zeta": np.array(zeta, dtype=float), "xi2": np.array(xi2, dtype=float)}
+
+
+def test_a_nan_xi2_neither_ends_a_run_nor_enters_its_minimum():
+    # chi below CHI_FLOOR makes xi2 NaN; python's min(nan, x) is nan, which
+    # would disarm the bracket for good, and a reset to inf would delay it
+    stop, live = sweep_stop(0.01), np.arange(2)
+    assert stop(0.0, _row([1.0, 1.0], [1.0, math.nan]), live) == {}
+    assert stop(0.1, _row([1.0, 1.0], [0.5, 0.8]), live) == {}
+    assert stop(0.2, _row([1.0, 1.0], [math.nan, 0.7]), live) == {}
+    # run 0's minimum is still 0.5: 0.59 stays, and 0.61 brackets it
+    assert stop(0.3, _row([1.0, 1.0], [BRACKET_RATIO * 0.5 - 0.01, 0.75]), live) == {}
+    assert stop(0.4, _row([1.0, 1.0], [BRACKET_RATIO * 0.5 + 0.01, BRACKET_RATIO * 0.7]), live) == {0: (STATUS_OK,)}
+    # run 1 alone at stack position 0; its minimum 0.7 survived the narrowing
+    assert stop(0.5, _row([1.0], [math.nan]), live[1:]) == {}
+    assert stop(0.6, _row([1.0], [BRACKET_RATIO * 0.7 + 0.01]), live[1:]) == {0: (STATUS_OK,)}
+
+
+def test_the_floor_ends_a_run_before_its_bracket():
+    # a row at the zeta floor ends the run by the floor's rule whatever its
+    # xi2: ok while zeta is positive, else aborted-zeta
+    stop, live = sweep_stop(0.01), np.arange(3)
+    assert stop(0.0, _row([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]), live) == {}
+    assert stop(0.1, _row([0.01, -1e-3, 0.5], [5.0, math.nan, 2.0]), live) == {
+        0: (STATUS_OK,),
+        1: ("aborted-zeta", 0.1, "zeta -1.000e-03 is not positive"),
+        2: (STATUS_OK,),
+    }
+
+
+def test_stacked_members_bracket_at_their_own_rows():
+    # spins 4, 6 and 10 bracket their minima at different rows, so the
+    # stack narrows twice; each survivor's columns are, bit for bit, those
+    # of its member stepped alone on the narrowed frame (a solo run of the
+    # padded member, which the stack's narrowing must not disturb)
+    group, floor = (4, 6, 10), ZETA_RESOLUTION_STEPS * 1e-3
+    runs = _stacked_run(group, 3.0, sweep_stop(floor))
+    assert all(run.ok for run in runs) and len({run.n_rows for run in runs}) == len(group)
+    assert max(run.n_rows for run in runs) < 3001
+    configs = [SimConfig(mode="single", twice_j=tj, v_max=3.0) for tj in group]
+    spec = replace(configs[0].spec(), frame=single_mode_frame(group))
+    rho0 = stack_members([c.initial_state() for c in configs])
+    for k, run in enumerate(runs):
+        (solo,) = evolve(rho0[k : k + 1], replace(spec, frame=spec.frame.members([k])), configs[0].controller(),
+                         sweep_stop(floor))
+        assert solo.n_rows == run.n_rows and solo.status == run.status
+        for name in PLAIN_COLUMNS:
+            assert np.array_equal(run.column(name).view(np.uint64), solo.column(name).view(np.uint64)), (k, name)
+        # the last row is the first past the bracket
+        xi2 = run.column("xi2")
+        assert xi2[-1] > BRACKET_RATIO * xi2[:-1].min() and xi2[-2] <= BRACKET_RATIO * xi2[:-2].min()
 
 
 @pytest.mark.parametrize("conditioned", (False, True))
