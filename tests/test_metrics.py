@@ -362,9 +362,11 @@ def test_a_nan_xi2_neither_ends_a_run_nor_enters_its_minimum():
     # run 0's minimum is still 0.5: 0.59 stays, and 0.61 brackets it
     assert stop(0.3, _row([1.0, 1.0], [BRACKET_RATIO * 0.5 - 0.01, 0.75]), live) == {}
     assert stop(0.4, _row([1.0, 1.0], [BRACKET_RATIO * 0.5 + 0.01, BRACKET_RATIO * 0.7]), live) == {0: (STATUS_OK,)}
-    # run 1 alone at stack position 0; its minimum 0.7 survived the narrowing
+    # run 1 alone at stack position 0 keeps its own minimum 0.7 through the
+    # narrowing, not run 0's 0.5, which 0.8 would bracket
     assert stop(0.5, _row([1.0], [math.nan]), live[1:]) == {}
-    assert stop(0.6, _row([1.0], [BRACKET_RATIO * 0.7 + 0.01]), live[1:]) == {0: (STATUS_OK,)}
+    assert stop(0.6, _row([1.0], [0.8]), live[1:]) == {}
+    assert stop(0.7, _row([1.0], [BRACKET_RATIO * 0.7 + 0.01]), live[1:]) == {0: (STATUS_OK,)}
 
 
 def test_the_floor_ends_a_run_before_its_bracket():
@@ -379,12 +381,31 @@ def test_the_floor_ends_a_run_before_its_bracket():
     }
 
 
+def test_a_member_dropped_for_a_non_finite_row_leaves_the_stop_the_others_rows():
+    # member 0's moments are non-finite from the first row, which ends it
+    # and drops the row; the stop then sees member 1's values at its new
+    # stack position 0, so member 1 runs as it does alone
+    frame, floor = single_mode_frame(2), ZETA_RESOLUTION_STEPS * 1e-3
+    bad = css_rho("single", 2).real
+    bad[0, 2] = bad[2, 0] = math.inf
+    spec = EvolutionSpec(frame=frame, delta_v=1e-3, v_max=6.0)
+    with np.errstate(invalid="ignore"):
+        dropped, kept = evolve(np.stack([bad, css_rho("single", 2).real]), spec, FeedbackScheme("simple"),
+                               sweep_stop(floor), SWEEP_COLUMNS)
+    alone = evolve(css_rho("single", 2), spec, FeedbackScheme("simple"), sweep_stop(floor), SWEEP_COLUMNS)
+    assert (dropped.status, dropped.n_rows) == ("aborted-nonfinite", 0)
+    assert kept.ok and kept.n_rows == alone.n_rows < 6001
+    for name in SWEEP_COLUMNS:
+        assert np.array_equal(kept.column(name), alone.column(name)), name
+
+
 def test_stacked_members_bracket_at_their_own_rows():
-    # spins 4, 6 and 10 bracket their minima at different rows, so the
-    # stack narrows twice; each survivor's columns are, bit for bit, those
-    # of its member stepped alone on the narrowed frame (a solo run of the
-    # padded member, which the stack's narrowing must not disturb)
-    group, floor = (4, 6, 10), ZETA_RESOLUTION_STEPS * 1e-3
+    # spins 10, 4 and 6 bracket their minima at different rows, the first
+    # member first, so the stack narrows twice and the survivors move up;
+    # each survivor's columns are, bit for bit, those of its member stepped
+    # alone on the narrowed frame (a solo run of the padded member, which
+    # the stack's narrowing must not disturb)
+    group, floor = (10, 4, 6), ZETA_RESOLUTION_STEPS * 1e-3
     runs = _stacked_run(group, 3.0, sweep_stop(floor))
     assert all(run.ok for run in runs) and len({run.n_rows for run in runs}) == len(group)
     assert max(run.n_rows for run in runs) < 3001
