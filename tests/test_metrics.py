@@ -353,8 +353,9 @@ def _row(zeta, xi2):
 
 
 def test_a_nan_xi2_neither_ends_a_run_nor_enters_its_minimum():
-    # chi below CHI_FLOOR makes xi2 NaN; python's min(nan, x) is nan, which
-    # would disarm the bracket for good, and a reset to inf would delay it
+    # chi below CHI_FLOOR makes xi2 NaN; a minimum taken with min() can
+    # take that NaN (min(nan, x) is nan) and then either stay NaN, which
+    # never brackets, or give way to the next row, which brackets late
     stop, live = sweep_stop(0.01), np.arange(2)
     assert stop(0.0, _row([1.0, 1.0], [1.0, math.nan]), live) == {}
     assert stop(0.1, _row([1.0, 1.0], [0.5, 0.8]), live) == {}
